@@ -158,7 +158,7 @@ void BM_BuildRepairProblem(benchmark::State& state) {
 void BM_ApplyCover(benchmark::State& state) {
   const PreparedProblem& prepared =
       ClientBuyProblem(static_cast<size_t>(state.range(0)), 1);
-  auto cover = ModifiedGreedySetCover(prepared.problem.instance);
+  auto cover = ModifiedGreedySetCover(prepared.csr);
   if (!cover.ok()) {
     state.SkipWithError(cover.status().ToString().c_str());
     return;

@@ -80,7 +80,6 @@ SetCoverInstance ZipfComponentInstance(size_t elements, uint64_t seed) {
       instance.weights.push_back(8.0);
     }
   }
-  instance.BuildLinks();
   return instance;
 }
 

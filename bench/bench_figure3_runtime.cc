@@ -26,7 +26,7 @@ void RunSolver(benchmark::State& state, SolverKind kind) {
   const PreparedProblem& prepared = ClientBuyProblem(clients, /*seed=*/1);
   double weight = 0;
   for (auto _ : state) {
-    auto solution = SolveSetCover(kind, prepared.problem.instance);
+    auto solution = SolveSetCover(kind, prepared.csr);
     if (!solution.ok()) {
       state.SkipWithError(solution.status().ToString().c_str());
       return;

@@ -37,6 +37,7 @@ const PreparedProblem& RatioProblem(int ratio_percent) {
                                     DistanceFunction());
   if (!problem.ok()) std::abort();
   prepared.problem = std::move(problem).value();
+  prepared.csr = CsrSetCoverInstance::Freeze(prepared.problem.instance);
   return cache->emplace(ratio_percent, std::move(prepared)).first->second;
 }
 
@@ -44,7 +45,7 @@ void BM_ModifiedGreedyByRatio(benchmark::State& state) {
   const PreparedProblem& prepared =
       RatioProblem(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto solution = ModifiedGreedySetCover(prepared.problem.instance);
+    auto solution = ModifiedGreedySetCover(prepared.csr);
     if (!solution.ok()) {
       state.SkipWithError(solution.status().ToString().c_str());
       return;
@@ -61,7 +62,7 @@ void BM_LayerByRatio(benchmark::State& state) {
   const PreparedProblem& prepared =
       RatioProblem(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto solution = LayerSetCover(prepared.problem.instance);
+    auto solution = LayerSetCover(prepared.csr);
     if (!solution.ok()) {
       state.SkipWithError(solution.status().ToString().c_str());
       return;

@@ -2,11 +2,14 @@
 // instances with controlled element frequency, comparing the per-iteration
 // rescan (Algorithm 1) against the indexed heap + links (Algorithm 5), and
 // the batch layering against the event-driven layering. Also times heap
-// primitives.
+// primitives and Freeze(), the one-off flattening every solve pays for.
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+
 #include "common/rng.h"
+#include "repair/setcover/csr_instance.h"
 #include "repair/setcover/indexed_heap.h"
 #include "repair/setcover/solvers.h"
 
@@ -41,22 +44,28 @@ SetCoverInstance RandomInstance(size_t elements, size_t sets,
       instance.weights.push_back(50.0);
     }
   }
-  instance.BuildLinks();
   return instance;
 }
 
-const SetCoverInstance& CachedInstance(size_t elements) {
-  static auto* cache = new std::map<size_t, SetCoverInstance>();
+// The random instance of `elements` elements, built and frozen once.
+struct Cached {
+  SetCoverInstance builder;
+  CsrSetCoverInstance csr;
+};
+
+const Cached& CachedInstance(size_t elements) {
+  static auto* cache = new std::map<size_t, Cached>();
   const auto it = cache->find(elements);
   if (it != cache->end()) return it->second;
-  return cache->emplace(elements,
-                        RandomInstance(elements, elements * 3 / 2, 11))
-      .first->second;
+  Cached cached;
+  cached.builder = RandomInstance(elements, elements * 3 / 2, 11);
+  cached.csr = CsrSetCoverInstance::Freeze(cached.builder);
+  return cache->emplace(elements, std::move(cached)).first->second;
 }
 
 void RunKind(benchmark::State& state, SolverKind kind) {
-  const SetCoverInstance& instance =
-      CachedInstance(static_cast<size_t>(state.range(0)));
+  const CsrSetCoverInstance& instance =
+      CachedInstance(static_cast<size_t>(state.range(0))).csr;
   for (auto _ : state) {
     auto solution = SolveSetCover(kind, instance);
     if (!solution.ok()) {
@@ -123,6 +132,18 @@ void BM_HeapUpdateHeavy(benchmark::State& state) {
                           static_cast<int64_t>(4 * n));
 }
 
+// The one-off freeze (two-pass counting fill) the solve phase pays before
+// streaming the arenas. Amortised over a single solve it must stay small
+// relative to the solve itself.
+void BM_Freeze(benchmark::State& state) {
+  const Cached& cached = CachedInstance(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(cached.builder);
+    benchmark::DoNotOptimize(csr.arena_bytes());
+  }
+  state.counters["max_freq"] = static_cast<double>(cached.csr.max_frequency());
+}
+
 }  // namespace
 
 BENCHMARK(BM_MicroGreedy)->Unit(benchmark::kMillisecond)
@@ -137,5 +158,7 @@ BENCHMARK(BM_MicroModifiedLayer)->Unit(benchmark::kMillisecond)
     ->Arg(1000)->Arg(10000)->Arg(50000)->Arg(500000);
 BENCHMARK(BM_HeapPushPop)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_HeapUpdateHeavy)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_Freeze)->Unit(benchmark::kMillisecond)
+    ->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 BENCHMARK_MAIN();

@@ -28,8 +28,8 @@ struct RepairProblem {
   DegreeInfo degrees;
   /// Conflict components of `instance` (the paper's locality decomposition:
   /// violation sets linked by shared candidate fixes). Computed from the
-  /// freshly built element->set links; the repairer shards the solve phase
-  /// by component and a session keeps the index live across batches.
+  /// freshly built sets; the repairer shards the solve phase by component
+  /// and a session keeps the index live across batches.
   ComponentIndex components;
   /// The columnar snapshot the violation scan ran against (invalid when the
   /// columnar path was disabled or externally supplied). The repairer's

@@ -46,9 +46,8 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
   const double build_seconds = build_span.Finish();
 
   obs::Span solve_span(&obs.tracer, "solve");
-  // Freeze the built instance into the flat CSR view once; every solver hot
-  // loop then streams contiguous arenas. The cover is byte-identical to the
-  // nested representation's.
+  // Freeze the built instance into the CSR arenas once; every solver hot
+  // loop then streams contiguous spans.
   const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(problem.instance);
   SetCoverSolution cover;
   if (options.shard_components && SolverShardsByComponent(options.solver)) {

@@ -104,7 +104,6 @@ Status RepairSession::Init() {
       BuildRepairProblem(db_, bound_, distance_, build, pool_.get()));
   violations_ = std::move(problem.violations);
   fixes_ = std::move(problem.fixes);
-  instance_ = std::move(problem.instance);
   components_ = std::move(problem.components);
   component_count_.store(components_.num_components(),
                          std::memory_order_relaxed);
@@ -123,9 +122,9 @@ Status RepairSession::Init() {
       options_.use_columnar_scan && snapshot_.valid() ? &snapshot_ : nullptr;
   engine_ = std::make_unique<ViolationEngine>(db_, bound_, engine_options);
 
-  // Freeze the built instance once; the incremental solver reads only the
-  // flat view and every batch re-freezes by appending its epoch.
-  csr_ = CsrSetCoverInstance::Freeze(instance_);
+  // Freeze the built instance once; every batch then appends its epoch
+  // straight into the arenas the incremental solver reads.
+  csr_ = CsrSetCoverInstance::Freeze(problem.instance);
   solver_ = std::make_unique<IncrementalGreedySolver>(&csr_);
 
   obs::Span solve_span(&obs.tracer, "solve");
@@ -520,15 +519,21 @@ Status RepairSession::PatchInstance(std::vector<ViolationSet> new_violations,
                                     std::vector<CandidateFix> new_fixes,
                                     BatchStats* stats) {
   const size_t vid_offset = violations_.size();
-  CsrEpochDelta delta;
-  delta.new_elements = new_violations.size();
-  delta.first_new_set = static_cast<uint32_t>(instance_.num_sets());
-  instance_.AddElements(new_violations.size());
+  const auto first_new_set = static_cast<uint32_t>(csr_.num_sets());
+  CsrEpoch epoch;
+  epoch.new_elements = new_violations.size();
   components_.AddElements(new_violations.size());
 
-  // Phase 1: patch the mutable instance (the patch log), recording what
-  // changed. Solver callbacks wait until phase 3, after the frozen view
-  // has caught up — the solver only ever reads the CSR arenas.
+  // What the solver must hear about each extended set once the epoch is in.
+  struct Grown {
+    uint32_t set_id;
+    size_t first_new_index;
+    bool reweighted;
+  };
+  std::vector<Grown> grown;
+
+  // Phase 1: collect the epoch. Extensions borrow new_fixes' element
+  // lists, new sets the fixes_ entries they become.
   for (CandidateFix& fix : new_fixes) {
     const FixKey key{fix.tuple.Packed(), fix.attribute, fix.new_value};
     const auto it = fix_ids_.find(key);
@@ -538,46 +543,46 @@ Status RepairSession::PatchInstance(std::vector<ViolationSet> new_violations,
       // against the cell's current value (an applied fix on the same cell
       // may have moved it since the set was created).
       const uint32_t set_id = it->second;
-      const size_t old_size = instance_.sets[set_id].size();
-      bool reweighted = false;
-      if (instance_.weights[set_id] != fix.weight) {
-        instance_.SetWeight(set_id, fix.weight);
+      const bool reweighted = csr_.weight(set_id) != fix.weight;
+      if (reweighted) {
         fixes_[set_id].weight = fix.weight;
         fixes_[set_id].old_value = fix.old_value;
-        reweighted = true;
       }
-      DBREPAIR_RETURN_IF_ERROR(instance_.ExtendSet(set_id, fix.solved));
+      epoch.extended.push_back({set_id, fix.solved, fix.weight});
+      grown.push_back({set_id, csr_.set_size(set_id), reweighted});
       stats->components_merged += components_.ExtendSet(set_id, fix.solved);
-      delta.extended.push_back({set_id, old_size, reweighted});
       fixes_[set_id].solved.insert(fixes_[set_id].solved.end(),
                                    fix.solved.begin(), fix.solved.end());
       stats->num_extended_fixes += 1;
     } else {
-      const uint32_t set_id = instance_.AddSet(fix.weight, fix.solved);
       stats->components_merged += components_.AddSet(fix.solved);
-      fix_ids_.emplace(key, set_id);
+      fix_ids_.emplace(key, static_cast<uint32_t>(fixes_.size()));
       fixes_.push_back(std::move(fix));
       stats->num_new_fixes += 1;
     }
   }
 
-  // Phase 2: re-freeze — append this batch's epoch to the flat view.
-  DBREPAIR_RETURN_IF_ERROR(csr_.AppendEpoch(instance_, delta));
+  for (size_t s = first_new_set; s < fixes_.size(); ++s) {
+    epoch.new_sets.push_back({fixes_[s].weight, fixes_[s].solved});
+  }
 
-  // Phase 3: replay the delta into the solver. Batching the callbacks
-  // after the mutations is order-safe: the heap's pop order depends only
-  // on its (key, id) content, each set is touched at most once per batch
-  // (fix keys are deduplicated), and none of the callbacks reads covered
-  // state another callback writes.
-  solver_->OnElementsAdded(delta.new_elements);
-  for (const CsrEpochDelta::Extension& ext : delta.extended) {
-    if (ext.reweighted) {
-      DBREPAIR_RETURN_IF_ERROR(solver_->OnWeightChanged(ext.set_id));
+  // Phase 2: append the epoch straight into the arenas.
+  DBREPAIR_RETURN_IF_ERROR(csr_.AppendEpoch(epoch));
+
+  // Phase 3: replay the delta into the solver, which reads the arenas.
+  // Batching the callbacks after the append is order-safe: the heap's pop
+  // order depends only on its (key, id) content, each set is touched at
+  // most once per batch (fix keys are deduplicated), and none of the
+  // callbacks reads covered state another callback writes.
+  solver_->OnElementsAdded(epoch.new_elements);
+  for (const Grown& g : grown) {
+    if (g.reweighted) {
+      DBREPAIR_RETURN_IF_ERROR(solver_->OnWeightChanged(g.set_id));
     }
     DBREPAIR_RETURN_IF_ERROR(
-        solver_->OnSetExtended(ext.set_id, ext.first_new_index));
+        solver_->OnSetExtended(g.set_id, g.first_new_index));
   }
-  for (uint32_t s = delta.first_new_set; s < instance_.num_sets(); ++s) {
+  for (uint32_t s = first_new_set; s < csr_.num_sets(); ++s) {
     DBREPAIR_RETURN_IF_ERROR(solver_->OnSetAdded(s));
   }
 

@@ -24,7 +24,6 @@
 #include "repair/setcover/components.h"
 #include "repair/setcover/csr_instance.h"
 #include "repair/setcover/incremental.h"
-#include "repair/setcover/instance.h"
 #include "storage/column_view.h"
 #include "storage/database.h"
 
@@ -219,19 +218,16 @@ class RepairSession {
   /// cumulative cover weight / repair distance after the batch.
   obs::Json TelemetryToJson() const;
 
-  /// The mutable MWSCP instance (the session's patch log). Exposed for
-  /// tests and diagnostics.
-  const SetCoverInstance& instance() const { return instance_; }
-
-  /// The frozen CSR view the incremental solver actually reads; kept in
-  /// sync with instance() by one AppendEpoch per batch. Exposed for tests
-  /// and diagnostics.
+  /// The MWSCP instance the incremental solver reads: frozen once by
+  /// Open() and grown by one AppendEpoch per batch. Exposed for tests and
+  /// diagnostics.
   const CsrSetCoverInstance& frozen_instance() const { return csr_; }
 
-  /// The live conflict-component index over instance(): adopted from the
-  /// initial build and maintained incrementally as each batch's delta
-  /// appends elements and adds/extends sets (a batch only ever merges
-  /// components, never splits them). Exposed for tests and diagnostics.
+  /// The live conflict-component index over frozen_instance(): adopted
+  /// from the initial build and maintained incrementally as each batch's
+  /// delta appends elements and adds/extends sets (a batch only ever
+  /// merges components, never splits them). Exposed for tests and
+  /// diagnostics.
   const ComponentIndex& components() const { return components_; }
 
   /// Conflict components of the current instance. Lock-free: readable by
@@ -299,9 +295,8 @@ class RepairSession {
   std::vector<ViolationSet> violations_;  // element ids are indices here
   std::vector<CandidateFix> fixes_;       // set ids are indices here
   std::unordered_map<FixKey, uint32_t, FixKeyHash> fix_ids_;
-  SetCoverInstance instance_;       // the mutable patch log
-  CsrSetCoverInstance csr_;         // frozen view; one AppendEpoch per batch
-  ComponentIndex components_;       // live index; mutated next to instance_
+  CsrSetCoverInstance csr_;         // one AppendEpoch per batch
+  ComponentIndex components_;       // live index; mutated next to csr_
   // Published copy of components_.num_components() for lock-free STATS
   // reads; stored after Open and after each completed batch.
   std::atomic<size_t> component_count_{0};

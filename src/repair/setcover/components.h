@@ -17,12 +17,12 @@ namespace dbrepair {
 ///
 /// Implementation: union-find over *set* ids. Each element remembers one
 /// covering set (`owner`); absorbing a set unions it with the owners of its
-/// elements, which is exactly a pass over the element->set links the build
+/// elements, so building the index is one pass over the sets the build
 /// phase just produced. Repair sessions keep the index alive across
-/// batches: AddElements/AddSet/ExtendSet mirror the SetCoverInstance
-/// mutators one to one, and a batch whose fix touches violations of two
-/// previously separate components merges them (the count of merges is
-/// reported for telemetry).
+/// batches: AddElements/AddSet/ExtendSet mirror the content of each
+/// CsrSetCoverInstance::AppendEpoch one to one, and a batch whose fix
+/// touches violations of two previously separate components merges them
+/// (the count of merges is reported for telemetry).
 ///
 /// The index never renumbers: dense, deterministic component labels are
 /// produced on demand by Partition(), ordered by each component's smallest

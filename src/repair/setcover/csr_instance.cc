@@ -44,8 +44,7 @@ CsrSetCoverInstance CsrSetCoverInstance::Freeze(
   // ---- Element -> set cross links: two-pass counting fill. ----
   // Pass 1 counts each element's frequency; the prefix sum becomes the
   // offsets array. Pass 2 scatters set ids through a cursor copy, which —
-  // iterating sets in ascending id order — reproduces BuildLinks()'s
-  // ascending link lists exactly.
+  // iterating sets in ascending id order — yields ascending link lists.
   std::vector<uint32_t> counts(source.num_elements, 0);
   for (const std::vector<uint32_t>& set : source.sets) {
     for (const uint32_t e : set) ++counts[e];
@@ -133,86 +132,119 @@ size_t CsrSetCoverInstance::arena_bytes() const {
          weights_.size() * sizeof(double);
 }
 
-Status CsrSetCoverInstance::AppendEpoch(const SetCoverInstance& patched,
-                                        const CsrEpochDelta& delta) {
+Status CsrSetCoverInstance::AppendEpoch(const CsrEpoch& epoch) {
   const auto start = std::chrono::steady_clock::now();
   const size_t old_elements = num_elements_;
+  const size_t new_elements = old_elements + epoch.new_elements;
   const auto old_sets = static_cast<uint32_t>(weights_.size());
-  if (patched.num_elements != old_elements + delta.new_elements) {
-    return Status::Internal(
-        "csr epoch append: element universe does not match the delta");
+
+  // ---- Check the whole epoch before touching the arenas. Every span must
+  // be strictly ascending and link only this epoch's fresh elements: a
+  // batch's fixes only ever reference that batch's violation ids, so no
+  // pre-epoch element's link list may grow. ----
+  const auto span_error = [&](std::span<const uint32_t> elems) {
+    for (size_t i = 0; i < elems.size(); ++i) {
+      if (elems[i] < old_elements) {
+        return " links a pre-epoch element (the cross-link arena would go "
+               "stale)";
+      }
+      if (elems[i] >= new_elements) return " links an element past the epoch";
+      if (i > 0 && elems[i] <= elems[i - 1]) {
+        return " is not strictly ascending";
+      }
+    }
+    return static_cast<const char*>(nullptr);
+  };
+  // Extensions in ascending set-id order: the order the link scatter below
+  // must visit them in, and adjacent duplicates are repeated extensions.
+  std::vector<uint32_t> by_set(epoch.extended.size());
+  for (uint32_t i = 0; i < by_set.size(); ++i) by_set[i] = i;
+  std::sort(by_set.begin(), by_set.end(), [&](uint32_t a, uint32_t b) {
+    return epoch.extended[a].set_id < epoch.extended[b].set_id;
+  });
+  for (size_t i = 0; i < by_set.size(); ++i) {
+    const CsrEpoch::Extension& ext = epoch.extended[by_set[i]];
+    const auto fail = [&](const char* why) {
+      return Status::Internal("csr epoch append: extension of set " +
+                              std::to_string(ext.set_id) + why);
+    };
+    if (ext.set_id >= old_sets) {
+      return fail(", which the instance has never seen");
+    }
+    if (ext.elements.empty() ||
+        (i > 0 && epoch.extended[by_set[i - 1]].set_id == ext.set_id)) {
+      return fail(" must add elements, once per epoch");
+    }
+    if (const char* error = span_error(ext.elements)) return fail(error);
   }
-  if (delta.first_new_set != old_sets || patched.sets.size() < old_sets) {
-    return Status::Internal(
-        "csr epoch append: set range does not continue the frozen view");
-  }
-  if (patched.element_sets.size() != patched.num_elements) {
-    return Status::Internal(
-        "csr epoch append requires element links (call BuildLinks)");
+  for (const CsrEpoch::NewSet& set : epoch.new_sets) {
+    if (const char* error = span_error(set.elements)) {
+      return Status::Internal(std::string("csr epoch append: appended set") +
+                              error);
+    }
   }
 
-  // ---- Element -> set arena: pure append. A batch's fixes only ever
-  // reference that batch's fresh violation ids, so no pre-epoch element's
-  // link list can have grown; the new elements' lists extend the arena and
-  // the offsets in place. ----
+  // ---- Element -> set arena: the new elements' link lists append to the
+  // arena, filled by the same two-pass counting fill as Freeze(). Extended
+  // sets (ascending ids < old_sets) scatter before appended sets (ids >=
+  // old_sets), so every list comes out in ascending set-id order. ----
+  std::vector<uint32_t> counts(epoch.new_elements, 0);
   size_t new_links = 0;
-  for (size_t e = old_elements; e < patched.num_elements; ++e) {
-    new_links += patched.element_sets[e].size();
+  for (const CsrEpoch::Extension& ext : epoch.extended) {
+    for (const uint32_t e : ext.elements) ++counts[e - old_elements];
+    new_links += ext.elements.size();
   }
-  elem_arena_.reserve(elem_arena_.size() + new_links);
-  elem_offsets_.reserve(patched.num_elements + 1);
-  for (size_t e = old_elements; e < patched.num_elements; ++e) {
-    const std::vector<uint32_t>& links = patched.element_sets[e];
-    elem_arena_.insert(elem_arena_.end(), links.begin(), links.end());
-    elem_offsets_.push_back(static_cast<uint32_t>(elem_arena_.size()));
-    max_frequency_ = std::max(max_frequency_, links.size());
+  for (const CsrEpoch::NewSet& set : epoch.new_sets) {
+    for (const uint32_t e : set.elements) ++counts[e - old_elements];
+    new_links += set.elements.size();
   }
-  num_elements_ = patched.num_elements;
+  std::vector<uint32_t> cursor(epoch.new_elements);
+  elem_offsets_.reserve(new_elements + 1);
+  for (size_t i = 0; i < epoch.new_elements; ++i) {
+    cursor[i] = elem_offsets_.back();
+    elem_offsets_.push_back(elem_offsets_.back() + counts[i]);
+    max_frequency_ = std::max<size_t>(max_frequency_, counts[i]);
+  }
+  elem_arena_.resize(elem_arena_.size() + new_links);
+  for (const uint32_t i : by_set) {
+    const CsrEpoch::Extension& ext = epoch.extended[i];
+    for (const uint32_t e : ext.elements) {
+      elem_arena_[cursor[e - old_elements]++] = ext.set_id;
+    }
+  }
+  for (uint32_t i = 0; i < epoch.new_sets.size(); ++i) {
+    for (const uint32_t e : epoch.new_sets[i].elements) {
+      elem_arena_[cursor[e - old_elements]++] = old_sets + i;
+    }
+  }
+  num_elements_ = new_elements;
 
   // ---- Extended pre-epoch sets: relocate the grown span to the tail. The
   // old span becomes dead slack; the set id (and thus every cross link)
   // is untouched. ----
-  for (const CsrEpochDelta::Extension& ext : delta.extended) {
-    if (ext.set_id >= old_sets) {
-      return Status::Internal("csr epoch append: extension of a set the "
-                              "frozen view has never seen");
-    }
-    const std::vector<uint32_t>& elems = patched.sets[ext.set_id];
-    if (ext.first_new_index != set_size_[ext.set_id] ||
-        elems.size() <= ext.first_new_index) {
-      return Status::Internal(
-          "csr epoch append: extension suffix does not continue the frozen "
-          "span of set " + std::to_string(ext.set_id));
-    }
-    for (size_t i = ext.first_new_index; i < elems.size(); ++i) {
-      if (elems[i] < old_elements) {
-        return Status::Internal(
-            "csr epoch append: extension links a pre-epoch element (the "
-            "cross-link arena would go stale)");
-      }
-    }
-    dead_slots_ += set_size_[ext.set_id];
-    set_begin_[ext.set_id] = static_cast<uint32_t>(set_arena_.size());
-    set_size_[ext.set_id] = static_cast<uint32_t>(elems.size());
-    set_arena_.insert(set_arena_.end(), elems.begin(), elems.end());
-    weights_[ext.set_id] = patched.weights[ext.set_id];
+  for (const CsrEpoch::Extension& ext : epoch.extended) {
+    const uint32_t old_begin = set_begin_[ext.set_id];
+    const uint32_t old_size = set_size_[ext.set_id];
+    const size_t tail = set_arena_.size();
+    set_arena_.resize(tail + old_size + ext.elements.size());
+    std::copy_n(set_arena_.begin() + old_begin, old_size,
+                set_arena_.begin() + tail);
+    std::copy(ext.elements.begin(), ext.elements.end(),
+              set_arena_.begin() + tail + old_size);
+    set_begin_[ext.set_id] = static_cast<uint32_t>(tail);
+    set_size_[ext.set_id] =
+        static_cast<uint32_t>(old_size + ext.elements.size());
+    weights_[ext.set_id] = ext.weight;
+    dead_slots_ += old_size;
   }
 
   // ---- Appended sets extend the tail of the span arena. ----
-  const auto new_sets = static_cast<uint32_t>(patched.sets.size());
-  for (uint32_t s = old_sets; s < new_sets; ++s) {
-    const std::vector<uint32_t>& elems = patched.sets[s];
-    for (const uint32_t e : elems) {
-      if (e < old_elements) {
-        return Status::Internal(
-            "csr epoch append: appended set covers a pre-epoch element (the "
-            "cross-link arena would go stale)");
-      }
-    }
+  for (const CsrEpoch::NewSet& set : epoch.new_sets) {
     set_begin_.push_back(static_cast<uint32_t>(set_arena_.size()));
-    set_size_.push_back(static_cast<uint32_t>(elems.size()));
-    set_arena_.insert(set_arena_.end(), elems.begin(), elems.end());
-    weights_.push_back(patched.weights[s]);
+    set_size_.push_back(static_cast<uint32_t>(set.elements.size()));
+    set_arena_.insert(set_arena_.end(), set.elements.begin(),
+                      set.elements.end());
+    weights_.push_back(set.weight);
   }
 
   // Long sessions with many relocations accumulate dead slack; compact
@@ -229,7 +261,7 @@ Status CsrSetCoverInstance::AppendEpoch(const SetCoverInstance& patched,
   obs::MetricsRegistry& metrics = obs.metrics;
   metrics.GetCounter("solve.csr.epoch_appends")->Add(1);
   metrics.GetCounter("solve.csr.epoch_append_ns")->Add(ElapsedNs(start));
-  metrics.GetCounter("solve.csr.relocated_sets")->Add(delta.extended.size());
+  metrics.GetCounter("solve.csr.relocated_sets")->Add(epoch.extended.size());
   metrics.GetGauge("solve.csr.arena_bytes")
       ->Set(static_cast<double>(arena_bytes()));
   metrics.GetGauge("solve.csr.max_frequency")
@@ -329,10 +361,6 @@ Status CsrSetCoverInstance::Mirrors(const SetCoverInstance& source) const {
       weights_.size() != source.sets.size()) {
     return Status::Internal("csr mirror: universe size mismatch");
   }
-  if (source.element_sets.size() != source.num_elements) {
-    return Status::Internal(
-        "csr mirror check requires element links (call BuildLinks)");
-  }
   for (uint32_t s = 0; s < weights_.size(); ++s) {
     if (weights_[s] != source.weights[s]) {
       return Status::Internal("csr mirror: weight drift at set " +
@@ -342,17 +370,7 @@ Status CsrSetCoverInstance::Mirrors(const SetCoverInstance& source) const {
     if (!std::equal(span.begin(), span.end(), source.sets[s].begin(),
                     source.sets[s].end())) {
       return Status::Internal("csr mirror: span of set " + std::to_string(s) +
-                              " diverges from the nested instance");
-    }
-  }
-  for (uint32_t e = 0; e < num_elements_; ++e) {
-    const std::span<const uint32_t> links = sets_of(e);
-    if (!std::equal(links.begin(), links.end(),
-                    source.element_sets[e].begin(),
-                    source.element_sets[e].end())) {
-      return Status::Internal("csr mirror: links of element " +
-                              std::to_string(e) +
-                              " diverge from the nested instance");
+                              " diverges from the source instance");
     }
   }
   return Status::OK();

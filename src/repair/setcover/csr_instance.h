@@ -10,29 +10,34 @@
 
 namespace dbrepair {
 
-/// One repair batch's delta against a frozen CSR instance, recorded while
-/// the mutable SetCoverInstance (the patch log) is being patched and then
-/// replayed into the arenas by CsrSetCoverInstance::AppendEpoch.
-struct CsrEpochDelta {
-  /// Elements AddElements() appended this batch.
+/// One repair batch's content, appended to a frozen instance by
+/// CsrSetCoverInstance::AppendEpoch. The spans borrow the caller's element
+/// lists; they only need to live until AppendEpoch returns.
+struct CsrEpoch {
+  /// Fresh elements this batch adds to the universe.
   size_t new_elements = 0;
-  /// Sets [first_new_set, patched.num_sets()) were AddSet()-appended.
-  uint32_t first_new_set = 0;
+
+  struct NewSet {
+    double weight = 0.0;
+    std::span<const uint32_t> elements;  ///< sorted, all fresh
+  };
+  /// Sets appended in order; they take ids num_sets(), num_sets() + 1, ...
+  std::vector<NewSet> new_sets;
 
   struct Extension {
-    uint32_t set_id = 0;         ///< pre-epoch set that ExtendSet() grew
-    size_t first_new_index = 0;  ///< index of its first appended element
-    bool reweighted = false;     ///< SetWeight() also refreshed its weight
+    uint32_t set_id = 0;                 ///< pre-epoch set that grew
+    std::span<const uint32_t> elements;  ///< appended; sorted, all fresh
+    double weight = 0.0;                 ///< the set's weight after the batch
   };
   /// Pre-epoch sets that gained elements (each at most once per batch —
   /// candidate fixes are deduplicated on their key before patching).
   std::vector<Extension> extended;
 };
 
-/// The frozen, cache-friendly view of a MWSCP instance: both incidence
-/// directions live in flat uint32 arenas instead of nested vectors, so the
-/// solver hot loops stream contiguous spans instead of pointer-chasing one
-/// heap allocation per set and per element-link list.
+/// The MWSCP instance every solver and session reads: both incidence
+/// directions live in flat uint32 arenas, so the solver hot loops stream
+/// contiguous spans instead of pointer-chasing one heap allocation per set
+/// and per element-link list.
 ///
 /// Layout (all indices 0-based):
 ///
@@ -43,21 +48,18 @@ struct CsrEpochDelta {
 ///   elem_arena_  [ e0 links | e1 links | ... ]         element -> set ids
 ///   elem_offsets_ num_elements+1 offsets into elem_arena_ (classic CSR)
 ///
-/// Freeze() builds both arenas in one pass over the nested sets plus a
-/// two-pass counting fill for the cross links; element link lists come out
-/// in ascending set-id order, exactly as SetCoverInstance::BuildLinks()
-/// produces them, so every solver sees the same iteration order and
-/// computes a byte-identical cover on either representation.
+/// Freeze() builds both arenas from the SetCoverInstance builder: one pass
+/// over the sets plus a two-pass counting fill for the cross links, so
+/// every element's link list comes out in ascending set-id order.
 ///
-/// Repair sessions keep the mutable SetCoverInstance as their patch log and
-/// re-freeze per batch with AppendEpoch(): element ids are allocated
-/// globally ascending and a batch's fixes only ever reference that batch's
-/// fresh violation ids, so the element->set arena extends purely by
-/// appending the new elements' lists. In the set->element arena, appended
-/// sets extend the tail and a grown pre-epoch set relocates its whole span
-/// to the tail (the old span becomes dead slack, compacted once it exceeds
-/// half the arena). Set ids never move, so relocation is invisible to the
-/// solvers.
+/// Repair sessions grow the instance in place with AppendEpoch(): element
+/// ids are allocated globally ascending and a batch's fixes only ever
+/// reference that batch's fresh violation ids, so the element->set arena
+/// extends purely by appending the new elements' lists. In the
+/// set->element arena, appended sets extend the tail and a grown pre-epoch
+/// set relocates its whole span to the tail (the old span becomes dead
+/// slack, compacted once it exceeds half the arena). Set ids never move,
+/// so relocation is invisible to the solvers.
 class CsrSetCoverInstance {
  public:
   CsrSetCoverInstance() = default;
@@ -94,23 +96,21 @@ class CsrSetCoverInstance {
   /// Arena slots orphaned by relocated (extended) set spans.
   size_t dead_slots() const { return dead_slots_; }
 
-  /// Appends one batch's delta. `patched` is the session's mutable
-  /// instance *after* this batch's AddElements/AddSet/ExtendSet/SetWeight
-  /// calls; `delta` names what changed. Requires `patched` to have live
-  /// element links and the delta to only link fresh elements (the session
-  /// invariant); anything else is an Internal error and the CSR must be
-  /// considered out of sync.
-  Status AppendEpoch(const SetCoverInstance& patched,
-                     const CsrEpochDelta& delta);
+  /// Appends one batch: `epoch.new_elements` fresh elements, the new sets,
+  /// and the extensions of pre-epoch sets. Every element the epoch links
+  /// must be fresh (the session invariant) and every span sorted; anything
+  /// else is an Internal error and the instance must be considered out of
+  /// sync with its session.
+  Status AppendEpoch(const CsrEpoch& epoch);
 
   /// Structural self-checks: offsets monotone and in range, spans sorted
   /// and duplicate-free, cross links consistent in both directions,
   /// weights non-negative, every element covered (feasibility).
   Status Validate() const;
 
-  /// Checks this view is the exact logical image of `source`: same
-  /// universe, bit-equal weights, identical per-set spans and per-element
-  /// link lists. `source` must have element links built.
+  /// Checks this instance holds exactly the content of `source`: same
+  /// universe, bit-equal weights, identical per-set spans. (The cross
+  /// links follow from the spans; Validate() checks both directions.)
   Status Mirrors(const SetCoverInstance& source) const;
 
   /// Extracts one conflict component as a standalone frozen instance:
@@ -139,28 +139,6 @@ class CsrSetCoverInstance {
   std::vector<uint32_t> elem_arena_;
   size_t max_frequency_ = 0;
   size_t dead_slots_ = 0;
-};
-
-/// Adapter giving the nested-vector SetCoverInstance the same read surface
-/// as CsrSetCoverInstance, so each solver's hot loop is written once and
-/// instantiated for both layouts. A pure borrow; sets_of() requires the
-/// instance's element links to be built.
-class NestedSetCoverView {
- public:
-  explicit NestedSetCoverView(const SetCoverInstance* in) : in_(in) {}
-
-  size_t num_elements() const { return in_->num_elements; }
-  size_t num_sets() const { return in_->sets.size(); }
-  double weight(uint32_t s) const { return in_->weights[s]; }
-  std::span<const uint32_t> elements_of(uint32_t s) const {
-    return in_->sets[s];
-  }
-  std::span<const uint32_t> sets_of(uint32_t e) const {
-    return in_->element_sets[e];
-  }
-
- private:
-  const SetCoverInstance* in_;
 };
 
 }  // namespace dbrepair

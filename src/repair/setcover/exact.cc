@@ -3,16 +3,14 @@
 #include <vector>
 
 #include "obs/context.h"
-#include "repair/setcover/csr_instance.h"
 #include "repair/setcover/solvers.h"
 
 namespace dbrepair {
 
 namespace {
 
-template <class View>
 struct SearchState {
-  const View* view = nullptr;
+  const CsrSetCoverInstance* instance = nullptr;
   uint64_t max_nodes = 0;
   uint64_t nodes = 0;
   bool exhausted = false;
@@ -32,9 +30,9 @@ struct SearchState {
   std::vector<uint32_t> best_chosen;
 
   void Cover(uint32_t s) {
-    acc_weight += view->weight(s);
+    acc_weight += instance->weight(s);
     stack.push_back(s);
-    for (const uint32_t e : view->elements_of(s)) {
+    for (const uint32_t e : instance->elements_of(s)) {
       if (cover_count[e]++ == 0) {
         --remaining;
         lb_sum -= min_ratio[e];
@@ -43,9 +41,9 @@ struct SearchState {
   }
 
   void Uncover(uint32_t s) {
-    acc_weight -= view->weight(s);
+    acc_weight -= instance->weight(s);
     stack.pop_back();
-    for (const uint32_t e : view->elements_of(s)) {
+    for (const uint32_t e : instance->elements_of(s)) {
       if (--cover_count[e] == 0) {
         ++remaining;
         lb_sum += min_ratio[e];
@@ -71,9 +69,9 @@ struct SearchState {
     // Branch on the most constrained uncovered element.
     uint32_t branch_e = 0;
     size_t branch_degree = SIZE_MAX;
-    for (uint32_t e = 0; e < view->num_elements(); ++e) {
+    for (uint32_t e = 0; e < instance->num_elements(); ++e) {
       if (cover_count[e] > 0) continue;
-      const size_t degree = view->sets_of(e).size();
+      const size_t degree = instance->sets_of(e).size();
       if (degree < branch_degree) {
         branch_degree = degree;
         branch_e = e;
@@ -81,11 +79,11 @@ struct SearchState {
       }
     }
     // Try the covering sets cheapest-first for early tight bounds.
-    const auto linked = view->sets_of(branch_e);
+    const auto linked = instance->sets_of(branch_e);
     std::vector<uint32_t> candidates(linked.begin(), linked.end());
     std::sort(candidates.begin(), candidates.end(),
               [&](uint32_t a, uint32_t b) {
-                return view->weight(a) < view->weight(b);
+                return instance->weight(a) < instance->weight(b);
               });
     for (const uint32_t s : candidates) {
       Cover(s);
@@ -96,25 +94,28 @@ struct SearchState {
   }
 };
 
-template <class View>
-Result<SetCoverSolution> ExactImpl(const View& view,
-                                   const SetCoverSolution& greedy,
-                                   const ExactSetCoverOptions& options) {
-  SearchState<View> state;
-  state.view = &view;
+}  // namespace
+
+Result<SetCoverSolution> ExactSetCover(const CsrSetCoverInstance& instance,
+                                       ExactSetCoverOptions options) {
+  // Seed the incumbent with the greedy solution so pruning bites early.
+  DBREPAIR_ASSIGN_OR_RETURN(const SetCoverSolution greedy,
+                            ModifiedGreedySetCover(instance));
+  SearchState state;
+  state.instance = &instance;
   state.max_nodes = options.max_nodes;
-  state.cover_count.assign(view.num_elements(), 0);
-  state.remaining = view.num_elements();
+  state.cover_count.assign(instance.num_elements(), 0);
+  state.remaining = instance.num_elements();
   state.best_weight = greedy.weight + 1e-9;
   state.best_chosen = greedy.chosen;
 
-  state.min_ratio.assign(view.num_elements(), 0.0);
-  for (uint32_t e = 0; e < view.num_elements(); ++e) {
+  state.min_ratio.assign(instance.num_elements(), 0.0);
+  for (uint32_t e = 0; e < instance.num_elements(); ++e) {
     double best = 0.0;
     bool first = true;
-    for (const uint32_t s : view.sets_of(e)) {
+    for (const uint32_t s : instance.sets_of(e)) {
       const double ratio =
-          view.weight(s) / static_cast<double>(view.elements_of(s).size());
+          instance.weight(s) / static_cast<double>(instance.set_size(s));
       if (first || ratio < best) {
         best = ratio;
         first = false;
@@ -135,51 +136,11 @@ Result<SetCoverSolution> ExactImpl(const View& view,
 
   SetCoverSolution solution;
   solution.chosen = state.best_chosen;
-  for (const uint32_t s : solution.chosen) solution.weight += view.weight(s);
+  for (const uint32_t s : solution.chosen) {
+    solution.weight += instance.weight(s);
+  }
   solution.iterations = state.nodes;
   return solution;
-}
-
-}  // namespace
-
-Result<SetCoverSolution> ExactSetCover(const SetCoverInstance& instance,
-                                       ExactSetCoverOptions options) {
-  if (instance.element_sets.size() != instance.num_elements) {
-    return Status::Internal(
-        "exact set cover requires element links (call BuildLinks)");
-  }
-  // Seed the incumbent with the greedy solution so pruning bites early.
-  DBREPAIR_ASSIGN_OR_RETURN(const SetCoverSolution greedy,
-                            ModifiedGreedySetCover(instance));
-  return ExactImpl(NestedSetCoverView(&instance), greedy, options);
-}
-
-Result<SetCoverSolution> ExactSetCover(const CsrSetCoverInstance& instance,
-                                       ExactSetCoverOptions options) {
-  DBREPAIR_ASSIGN_OR_RETURN(const SetCoverSolution greedy,
-                            ModifiedGreedySetCover(instance));
-  return ExactImpl(instance, greedy, options);
-}
-
-Result<SetCoverSolution> SolveSetCover(SolverKind kind,
-                                       const SetCoverInstance& instance) {
-  const obs::ScopedWorkEvent solve_event(
-      std::string("solve.") + SolverKindName(kind));
-  switch (kind) {
-    case SolverKind::kGreedy:
-      return GreedySetCover(instance);
-    case SolverKind::kModifiedGreedy:
-      return ModifiedGreedySetCover(instance);
-    case SolverKind::kLazyGreedy:
-      return LazyGreedySetCover(instance);
-    case SolverKind::kLayer:
-      return LayerSetCover(instance);
-    case SolverKind::kModifiedLayer:
-      return ModifiedLayerSetCover(instance);
-    case SolverKind::kExact:
-      return ExactSetCover(instance);
-  }
-  return Status::InvalidArgument("unknown solver kind");
 }
 
 Result<SetCoverSolution> SolveSetCover(SolverKind kind,

@@ -2,40 +2,34 @@
 #include <vector>
 
 #include "obs/context.h"
-#include "repair/setcover/csr_instance.h"
 #include "repair/setcover/solvers.h"
 
 namespace dbrepair {
 
-namespace {
-
 // The residual sets ("S <- S \ M" materialised) as one flat arena: every
 // set's remaining elements occupy a contiguous span that is compacted in
-// place as elements get covered. Span sizes evolve exactly like the nested
-// per-set vectors did, so effective weights — and therefore the cover —
-// are unchanged.
-template <class View>
-Result<SetCoverSolution> GreedyImpl(const View& view) {
+// place as elements get covered, so every span's size is |s \ covered|.
+Result<SetCoverSolution> GreedySetCover(const CsrSetCoverInstance& instance) {
   SetCoverSolution solution;
-  const size_t num_sets = view.num_sets();
+  const size_t num_sets = instance.num_sets();
   uint64_t sets_scanned = 0;
 
   std::vector<uint32_t> res_begin(num_sets);
   std::vector<uint32_t> res_size(num_sets);
   size_t total = 0;
-  for (uint32_t s = 0; s < num_sets; ++s) total += view.elements_of(s).size();
+  for (uint32_t s = 0; s < num_sets; ++s) total += instance.set_size(s);
   std::vector<uint32_t> residual;
   residual.reserve(total);
   for (uint32_t s = 0; s < num_sets; ++s) {
-    const auto span = view.elements_of(s);
+    const auto span = instance.elements_of(s);
     res_begin[s] = static_cast<uint32_t>(residual.size());
     res_size[s] = static_cast<uint32_t>(span.size());
     residual.insert(residual.end(), span.begin(), span.end());
   }
 
   std::vector<bool> alive(num_sets, true);
-  std::vector<bool> covered(view.num_elements(), false);
-  size_t remaining = view.num_elements();
+  std::vector<bool> covered(instance.num_elements(), false);
+  size_t remaining = instance.num_elements();
 
   while (remaining > 0) {
     ++solution.iterations;
@@ -45,7 +39,7 @@ Result<SetCoverSolution> GreedyImpl(const View& view) {
     for (uint32_t s = 0; s < num_sets; ++s) {
       if (!alive[s] || res_size[s] == 0) continue;
       ++sets_scanned;
-      const double eff = view.weight(s) / static_cast<double>(res_size[s]);
+      const double eff = instance.weight(s) / static_cast<double>(res_size[s]);
       if (best < 0 || eff < best_eff ||
           (eff == best_eff && s < static_cast<uint32_t>(best))) {
         best = static_cast<int>(s);
@@ -60,7 +54,7 @@ Result<SetCoverSolution> GreedyImpl(const View& view) {
     const auto chosen = static_cast<uint32_t>(best);
     solution.chosen.push_back(chosen);
     solution.pick_keys.push_back(best_eff);
-    solution.weight += view.weight(chosen);
+    solution.weight += instance.weight(chosen);
     alive[chosen] = false;
     for (uint32_t i = res_begin[chosen]; i < res_begin[chosen] + res_size[chosen];
          ++i) {
@@ -87,16 +81,6 @@ Result<SetCoverSolution> GreedyImpl(const View& view) {
   metrics.GetCounter("solver.greedy.iterations")->Add(solution.iterations);
   metrics.GetCounter("solver.greedy.sets_scanned")->Add(sets_scanned);
   return solution;
-}
-
-}  // namespace
-
-Result<SetCoverSolution> GreedySetCover(const SetCoverInstance& instance) {
-  return GreedyImpl(NestedSetCoverView(&instance));
-}
-
-Result<SetCoverSolution> GreedySetCover(const CsrSetCoverInstance& instance) {
-  return GreedyImpl(instance);
 }
 
 }  // namespace dbrepair

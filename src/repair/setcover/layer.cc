@@ -3,35 +3,29 @@
 #include <vector>
 
 #include "obs/context.h"
-#include "repair/setcover/csr_instance.h"
 #include "repair/setcover/indexed_heap.h"
 #include "repair/setcover/solvers.h"
 
 namespace dbrepair {
 
-namespace {
-
 // Residual sets as one flat arena (same structure as greedy's): contiguous
 // per-set spans compacted in place, so the round scans stream the arena
-// instead of hopping between per-set heap allocations. Span sizes match the
-// nested version's vector sizes at every round, keeping c and the tight-set
-// batches identical.
-template <class View>
-Result<SetCoverSolution> LayerImpl(const View& view,
-                                   const LayerOptions& options) {
+// instead of hopping between per-set heap allocations.
+Result<SetCoverSolution> LayerSetCover(const CsrSetCoverInstance& instance,
+                                       const LayerOptions& options) {
   SetCoverSolution solution;
-  const size_t num_sets = view.num_sets();
+  const size_t num_sets = instance.num_sets();
   uint64_t sets_scanned = 0;
   uint64_t reweight_events = 0;
 
   std::vector<uint32_t> res_begin(num_sets);
   std::vector<uint32_t> res_size(num_sets);
   size_t total = 0;
-  for (uint32_t s = 0; s < num_sets; ++s) total += view.elements_of(s).size();
+  for (uint32_t s = 0; s < num_sets; ++s) total += instance.set_size(s);
   std::vector<uint32_t> residual;
   residual.reserve(total);
   for (uint32_t s = 0; s < num_sets; ++s) {
-    const auto span = view.elements_of(s);
+    const auto span = instance.elements_of(s);
     res_begin[s] = static_cast<uint32_t>(residual.size());
     res_size[s] = static_cast<uint32_t>(span.size());
     residual.insert(residual.end(), span.begin(), span.end());
@@ -39,14 +33,14 @@ Result<SetCoverSolution> LayerImpl(const View& view,
 
   std::vector<double> w_res(num_sets);
   std::vector<bool> alive(num_sets, true);
-  std::vector<bool> covered(view.num_elements(), false);
-  size_t remaining = view.num_elements();
+  std::vector<bool> covered(instance.num_elements(), false);
+  size_t remaining = instance.num_elements();
 
   // Per-set absolute tolerance for "the residual weight reached zero".
   std::vector<double> tol(num_sets);
   for (uint32_t s = 0; s < num_sets; ++s) {
-    w_res[s] = view.weight(s);
-    tol[s] = 1e-9 * (view.weight(s) + 1.0);
+    w_res[s] = instance.weight(s);
+    tol[s] = 1e-9 * (instance.weight(s) + 1.0);
   }
 
   // In-place compaction of covered elements out of one residual span.
@@ -96,7 +90,7 @@ Result<SetCoverSolution> LayerImpl(const View& view,
         if (res_size[s] == 0) continue;  // refined: skip the useless set
       }
       solution.chosen.push_back(s);
-      solution.weight += view.weight(s);
+      solution.weight += instance.weight(s);
       for (uint32_t i = res_begin[s]; i < res_begin[s] + res_size[s]; ++i) {
         const uint32_t e = residual[i];
         if (!covered[e]) {
@@ -120,11 +114,10 @@ Result<SetCoverSolution> LayerImpl(const View& view,
   return solution;
 }
 
-template <class View>
-Result<SetCoverSolution> ModifiedLayerImpl(const View& view,
-                                           const LayerOptions& options) {
+Result<SetCoverSolution> ModifiedLayerSetCover(
+    const CsrSetCoverInstance& instance, const LayerOptions& options) {
   SetCoverSolution solution;
-  const size_t num_sets = view.num_sets();
+  const size_t num_sets = instance.num_sets();
   uint64_t heap_pops = 0;
   uint64_t cross_link_updates = 0;
 
@@ -137,20 +130,20 @@ Result<SetCoverSolution> ModifiedLayerImpl(const View& view,
   std::vector<double> settled_at(num_sets, 0.0);
   IndexedHeap heap(num_sets);
   for (uint32_t s = 0; s < num_sets; ++s) {
-    uncovered_count[s] = static_cast<uint32_t>(view.elements_of(s).size());
-    slack[s] = view.weight(s);
+    uncovered_count[s] = static_cast<uint32_t>(instance.elements_of(s).size());
+    slack[s] = instance.weight(s);
     if (uncovered_count[s] > 0) {
       heap.Push(s, slack[s] / uncovered_count[s]);
     }
   }
 
-  std::vector<bool> covered(view.num_elements(), false);
-  size_t remaining = view.num_elements();
+  std::vector<bool> covered(instance.num_elements(), false);
+  size_t remaining = instance.num_elements();
   double now = 0.0;
 
   auto choose = [&](uint32_t s) {
     solution.chosen.push_back(s);
-    solution.weight += view.weight(s);
+    solution.weight += instance.weight(s);
   };
 
   while (remaining > 0) {
@@ -169,11 +162,11 @@ Result<SetCoverSolution> ModifiedLayerImpl(const View& view,
     const double batch_tol = 1e-9 * (now + 1.0);
     choose(chosen);
 
-    for (const uint32_t e : view.elements_of(chosen)) {
+    for (const uint32_t e : instance.elements_of(chosen)) {
       if (covered[e]) continue;
       covered[e] = true;
       --remaining;
-      for (const uint32_t other : view.sets_of(e)) {
+      for (const uint32_t other : instance.sets_of(e)) {
         if (other == chosen || !heap.Contains(other)) continue;
         ++cross_link_updates;
         // Settle the payment stream up to `now`, then slow the rate.
@@ -204,32 +197,6 @@ Result<SetCoverSolution> ModifiedLayerImpl(const View& view,
   metrics.GetCounter("solver.modified-layer.cross_link_updates")
       ->Add(cross_link_updates);
   return solution;
-}
-
-}  // namespace
-
-Result<SetCoverSolution> LayerSetCover(const SetCoverInstance& instance,
-                                       const LayerOptions& options) {
-  return LayerImpl(NestedSetCoverView(&instance), options);
-}
-
-Result<SetCoverSolution> LayerSetCover(const CsrSetCoverInstance& instance,
-                                       const LayerOptions& options) {
-  return LayerImpl(instance, options);
-}
-
-Result<SetCoverSolution> ModifiedLayerSetCover(const SetCoverInstance& instance,
-                                               const LayerOptions& options) {
-  if (instance.element_sets.size() != instance.num_elements) {
-    return Status::Internal(
-        "modified layer requires element links (call BuildLinks)");
-  }
-  return ModifiedLayerImpl(NestedSetCoverView(&instance), options);
-}
-
-Result<SetCoverSolution> ModifiedLayerSetCover(
-    const CsrSetCoverInstance& instance, const LayerOptions& options) {
-  return ModifiedLayerImpl(instance, options);
 }
 
 }  // namespace dbrepair

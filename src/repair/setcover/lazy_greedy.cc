@@ -2,7 +2,6 @@
 #include <vector>
 
 #include "obs/context.h"
-#include "repair/setcover/csr_instance.h"
 #include "repair/setcover/solvers.h"
 
 namespace dbrepair {
@@ -21,22 +20,24 @@ struct LazyEntryGreater {
   }
 };
 
-template <class View>
-Result<SetCoverSolution> LazyGreedyImpl(const View& view) {
+}  // namespace
+
+Result<SetCoverSolution> LazyGreedySetCover(
+    const CsrSetCoverInstance& instance) {
   SetCoverSolution solution;
-  const size_t num_sets = view.num_sets();
+  const size_t num_sets = instance.num_sets();
   uint64_t heap_pops = 0;
   uint64_t reinserts = 0;
 
-  std::vector<bool> covered(view.num_elements(), false);
+  std::vector<bool> covered(instance.num_elements(), false);
   std::vector<bool> alive(num_sets, true);
-  size_t remaining = view.num_elements();
+  size_t remaining = instance.num_elements();
 
   // Current uncovered count of a set, recomputed by scanning its elements —
   // the lazy strategy needs no element->set reverse links at all.
   auto uncovered = [&](uint32_t s) {
     size_t count = 0;
-    for (const uint32_t e : view.elements_of(s)) {
+    for (const uint32_t e : instance.elements_of(s)) {
       if (!covered[e]) ++count;
     }
     return count;
@@ -45,9 +46,9 @@ Result<SetCoverSolution> LazyGreedyImpl(const View& view) {
   std::priority_queue<LazyEntry, std::vector<LazyEntry>, LazyEntryGreater>
       queue;
   for (uint32_t s = 0; s < num_sets; ++s) {
-    const size_t size = view.elements_of(s).size();
+    const size_t size = instance.elements_of(s).size();
     if (size > 0) {
-      queue.push(LazyEntry{view.weight(s) / static_cast<double>(size), s});
+      queue.push(LazyEntry{instance.weight(s) / static_cast<double>(size), s});
     }
   }
 
@@ -66,7 +67,7 @@ Result<SetCoverSolution> LazyGreedyImpl(const View& view) {
       alive[entry.id] = false;
       continue;
     }
-    const double key = view.weight(entry.id) / static_cast<double>(count);
+    const double key = instance.weight(entry.id) / static_cast<double>(count);
     if (key != entry.key) {
       // Stale: effective weights only rise, so reinsert with the fresh key.
       queue.push(LazyEntry{key, entry.id});
@@ -79,9 +80,9 @@ Result<SetCoverSolution> LazyGreedyImpl(const View& view) {
     ++solution.iterations;
     solution.chosen.push_back(entry.id);
     solution.pick_keys.push_back(entry.key);
-    solution.weight += view.weight(entry.id);
+    solution.weight += instance.weight(entry.id);
     alive[entry.id] = false;
-    for (const uint32_t e : view.elements_of(entry.id)) {
+    for (const uint32_t e : instance.elements_of(entry.id)) {
       if (!covered[e]) {
         covered[e] = true;
         --remaining;
@@ -95,17 +96,6 @@ Result<SetCoverSolution> LazyGreedyImpl(const View& view) {
   metrics.GetCounter("solver.lazy-greedy.heap_pops")->Add(heap_pops);
   metrics.GetCounter("solver.lazy-greedy.reinserts")->Add(reinserts);
   return solution;
-}
-
-}  // namespace
-
-Result<SetCoverSolution> LazyGreedySetCover(const SetCoverInstance& instance) {
-  return LazyGreedyImpl(NestedSetCoverView(&instance));
-}
-
-Result<SetCoverSolution> LazyGreedySetCover(
-    const CsrSetCoverInstance& instance) {
-  return LazyGreedyImpl(instance);
 }
 
 }  // namespace dbrepair

@@ -1,30 +1,27 @@
 #include "obs/context.h"
-#include "repair/setcover/csr_instance.h"
 #include "repair/setcover/indexed_heap.h"
 #include "repair/setcover/solvers.h"
 
 namespace dbrepair {
 
-namespace {
-
-template <class View>
-Result<SetCoverSolution> ModifiedGreedyImpl(const View& view) {
+Result<SetCoverSolution> ModifiedGreedySetCover(
+    const CsrSetCoverInstance& instance) {
   SetCoverSolution solution;
-  const size_t num_sets = view.num_sets();
+  const size_t num_sets = instance.num_sets();
   uint64_t heap_pops = 0;
   uint64_t cross_link_updates = 0;
 
   std::vector<uint32_t> uncovered_count(num_sets);
   IndexedHeap heap(num_sets);
   for (uint32_t s = 0; s < num_sets; ++s) {
-    uncovered_count[s] = static_cast<uint32_t>(view.elements_of(s).size());
+    uncovered_count[s] = static_cast<uint32_t>(instance.elements_of(s).size());
     if (uncovered_count[s] > 0) {
-      heap.Push(s, view.weight(s) / uncovered_count[s]);
+      heap.Push(s, instance.weight(s) / uncovered_count[s]);
     }
   }
 
-  std::vector<bool> covered(view.num_elements(), false);
-  size_t remaining = view.num_elements();
+  std::vector<bool> covered(instance.num_elements(), false);
+  size_t remaining = instance.num_elements();
 
   while (remaining > 0) {
     ++solution.iterations;
@@ -38,20 +35,20 @@ Result<SetCoverSolution> ModifiedGreedyImpl(const View& view) {
     ++heap_pops;
     solution.chosen.push_back(chosen);
     solution.pick_keys.push_back(eff);
-    solution.weight += view.weight(chosen);
+    solution.weight += instance.weight(chosen);
 
-    for (const uint32_t e : view.elements_of(chosen)) {
+    for (const uint32_t e : instance.elements_of(chosen)) {
       if (covered[e]) continue;
       covered[e] = true;
       --remaining;
       // Reprice every other set containing e via the element links.
-      for (const uint32_t other : view.sets_of(e)) {
+      for (const uint32_t other : instance.sets_of(e)) {
         if (other == chosen || !heap.Contains(other)) continue;
         ++cross_link_updates;
         if (--uncovered_count[other] == 0) {
           heap.Remove(other);
         } else {
-          heap.Update(other, view.weight(other) / uncovered_count[other]);
+          heap.Update(other, instance.weight(other) / uncovered_count[other]);
         }
       }
     }
@@ -64,22 +61,6 @@ Result<SetCoverSolution> ModifiedGreedyImpl(const View& view) {
   metrics.GetCounter("solver.modified-greedy.cross_link_updates")
       ->Add(cross_link_updates);
   return solution;
-}
-
-}  // namespace
-
-Result<SetCoverSolution> ModifiedGreedySetCover(
-    const SetCoverInstance& instance) {
-  if (instance.element_sets.size() != instance.num_elements) {
-    return Status::Internal(
-        "modified greedy requires element links (call BuildLinks)");
-  }
-  return ModifiedGreedyImpl(NestedSetCoverView(&instance));
-}
-
-Result<SetCoverSolution> ModifiedGreedySetCover(
-    const CsrSetCoverInstance& instance) {
-  return ModifiedGreedyImpl(instance);
 }
 
 }  // namespace dbrepair

@@ -5,27 +5,25 @@
 
 namespace dbrepair {
 
-namespace {
-
-template <class View>
-SetCoverSolution PruneImpl(const View& view, const SetCoverSolution& solution) {
-  std::vector<uint32_t> coverage(view.num_elements(), 0);
+SetCoverSolution PruneRedundantSets(const CsrSetCoverInstance& instance,
+                                    const SetCoverSolution& solution) {
+  std::vector<uint32_t> coverage(instance.num_elements(), 0);
   for (const uint32_t s : solution.chosen) {
-    for (const uint32_t e : view.elements_of(s)) ++coverage[e];
+    for (const uint32_t e : instance.elements_of(s)) ++coverage[e];
   }
 
   std::vector<uint32_t> order = solution.chosen;
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (view.weight(a) != view.weight(b)) {
-      return view.weight(a) > view.weight(b);
+    if (instance.weight(a) != instance.weight(b)) {
+      return instance.weight(a) > instance.weight(b);
     }
     return a < b;
   });
 
-  std::vector<bool> removed(view.num_sets(), false);
+  std::vector<bool> removed(instance.num_sets(), false);
   for (const uint32_t s : order) {
     bool redundant = true;
-    for (const uint32_t e : view.elements_of(s)) {
+    for (const uint32_t e : instance.elements_of(s)) {
       if (coverage[e] < 2) {
         redundant = false;
         break;
@@ -33,7 +31,7 @@ SetCoverSolution PruneImpl(const View& view, const SetCoverSolution& solution) {
     }
     if (!redundant) continue;
     removed[s] = true;
-    for (const uint32_t e : view.elements_of(s)) --coverage[e];
+    for (const uint32_t e : instance.elements_of(s)) --coverage[e];
   }
 
   SetCoverSolution pruned;
@@ -41,22 +39,10 @@ SetCoverSolution PruneImpl(const View& view, const SetCoverSolution& solution) {
   for (const uint32_t s : solution.chosen) {
     if (!removed[s]) {
       pruned.chosen.push_back(s);
-      pruned.weight += view.weight(s);
+      pruned.weight += instance.weight(s);
     }
   }
   return pruned;
-}
-
-}  // namespace
-
-SetCoverSolution PruneRedundantSets(const SetCoverInstance& instance,
-                                    const SetCoverSolution& solution) {
-  return PruneImpl(NestedSetCoverView(&instance), solution);
-}
-
-SetCoverSolution PruneRedundantSets(const CsrSetCoverInstance& instance,
-                                    const SetCoverSolution& solution) {
-  return PruneImpl(instance, solution);
 }
 
 }  // namespace dbrepair

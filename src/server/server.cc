@@ -68,7 +68,7 @@ void RepairServer::Stop() {
   if (stopping_.exchange(true)) return;
   listener_.Shutdown();
   if (acceptor_.joinable()) acceptor_.join();
-  std::vector<Connection> conns;
+  std::list<Connection> conns;
   {
     const std::lock_guard<std::mutex> lock(conns_mu_);
     conns.swap(conns_);
@@ -90,14 +90,27 @@ void RepairServer::AcceptLoop() {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       continue;
     }
-    const std::lock_guard<std::mutex> lock(conns_mu_);
-    if (stopping_.load(std::memory_order_relaxed)) break;  // raced Stop()
-    conns_.push_back(
-        Connection{std::make_unique<Socket>(std::move(*conn)), {}});
-    Socket* socket = conns_.back().socket.get();
-    conns_.back().thread = std::thread([this, socket] {
-      ConnectionLoop(socket);
-    });
+    // Connections whose loop has exited are moved out here and joined
+    // after the lock drops; destroying them closes their sockets.
+    std::list<Connection> finished;
+    {
+      const std::lock_guard<std::mutex> lock(conns_mu_);
+      if (stopping_.load(std::memory_order_relaxed)) break;  // raced Stop()
+      for (auto it = conns_.begin(); it != conns_.end();) {
+        const auto next = std::next(it);
+        if (it->done.load(std::memory_order_acquire)) {
+          finished.splice(finished.end(), conns_, it);
+        }
+        it = next;
+      }
+      Connection& added = conns_.emplace_back();
+      added.socket = std::make_unique<Socket>(std::move(*conn));
+      added.thread = std::thread([this, &added] {
+        ConnectionLoop(added.socket.get());
+        added.done.store(true, std::memory_order_release);
+      });
+    }
+    for (Connection& done : finished) done.thread.join();
   }
 }
 
@@ -152,7 +165,7 @@ void RepairServer::ConnectionLoop(Socket* conn) {
     if (!WriteAll(*conn, reply).ok()) break;
   }
   // Whether QUIT, peer close, or framing error ended the loop, let the peer
-  // see EOF now rather than when Stop() sweeps the connection table.
+  // see EOF now rather than when the connection is reaped.
   conn->Shutdown();
 }
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -72,6 +73,12 @@ class RepairServer {
  private:
   explicit RepairServer(const ServerOptions& options);
 
+  struct Connection {
+    std::unique_ptr<Socket> socket;
+    std::atomic<bool> done{false};  // set once ConnectionLoop has returned
+    std::thread thread;
+  };
+
   void AcceptLoop();
   void ConnectionLoop(Socket* conn);
 
@@ -111,11 +118,9 @@ class RepairServer {
 
   std::thread acceptor_;
   std::mutex conns_mu_;
-  struct Connection {
-    std::unique_ptr<Socket> socket;
-    std::thread thread;
-  };
-  std::vector<Connection> conns_;  // grows only; joined on Stop()
+  // Live connections. AcceptLoop joins and erases the finished ones each
+  // time it accepts; Stop() joins the rest.
+  std::list<Connection> conns_;
 };
 
 }  // namespace dbrepair::server

@@ -1,5 +1,5 @@
 // Differential tests for the component-sharded solve: the conflict-component
-// index (union-find over the element->set links), the deterministic dense
+// index (union-find over the sets' elements), the deterministic dense
 // partition, and SolveSetCoverSharded — which must produce a byte-identical
 // cover (same chosen ids in the same order, bit-equal weight) to the
 // monolithic solver at every thread count. The suite drives every solver
@@ -70,7 +70,6 @@ SetCoverInstance InterleavedBlocks(size_t elements, size_t blocks,
       instance.weights.push_back(4.0);
     }
   }
-  instance.BuildLinks();
   return instance;
 }
 
@@ -81,7 +80,6 @@ TEST(ComponentIndexTest, BuildLabelsIndependentBlocks) {
   instance.num_elements = 6;
   instance.sets = {{0, 1}, {1, 2}, {3}, {4, 5}};
   instance.weights = {1.0, 1.0, 1.0, 1.0};
-  instance.BuildLinks();
 
   const ComponentIndex index = ComponentIndex::Build(instance);
   EXPECT_EQ(index.num_components(), 3u);
@@ -112,7 +110,6 @@ TEST(ComponentIndexTest, AddAndExtendReportMerges) {
   instance.num_elements = 4;
   instance.sets = {{0}, {1}, {2}, {3}};
   instance.weights = {1.0, 1.0, 1.0, 1.0};
-  instance.BuildLinks();
   ComponentIndex index = ComponentIndex::Build(instance);
   EXPECT_EQ(index.num_components(), 4u);
 
@@ -137,7 +134,6 @@ TEST(ComponentIndexTest, EmptySetsAndUncoveredElements) {
   instance.num_elements = 2;
   instance.sets = {{0}, {}};  // element 1 uncovered, set 1 empty
   instance.weights = {1.0, 1.0};
-  instance.BuildLinks();
   const ComponentIndex index = ComponentIndex::Build(instance);
   // Only the attached component counts; the uncovered element is transient
   // mid-patch state and not a component until a set covers it.
@@ -200,7 +196,6 @@ TEST(ComponentIndexTest, IncrementalMatchesFromScratchRebuild) {
       }
     }
   }
-  instance.BuildLinks();
 
   const ComponentIndex rebuilt = ComponentIndex::Build(instance);
   EXPECT_EQ(live.num_components(), rebuilt.num_components());
@@ -286,7 +281,6 @@ TEST(ComponentSolveTest, InfeasibleShardFailsLikeMonolithic) {
   instance.num_elements = 3;
   instance.sets = {{0}, {2}};  // element 1 uncovered
   instance.weights = {1.0, 1.0};
-  instance.BuildLinks();
   const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
   const ComponentPartition partition =
       ComponentIndex::Build(instance).Partition();
@@ -301,6 +295,18 @@ TEST(ComponentSolveTest, InfeasibleShardFailsLikeMonolithic) {
 }
 
 // ---- Session epochs: live index vs rebuild, merge telemetry ----
+
+// The content of a frozen instance copied back out into a builder.
+SetCoverInstance CopySpans(const CsrSetCoverInstance& csr) {
+  SetCoverInstance copy;
+  copy.num_elements = csr.num_elements();
+  for (uint32_t s = 0; s < csr.num_sets(); ++s) {
+    copy.weights.push_back(csr.weight(s));
+    const auto elements = csr.elements_of(s);
+    copy.sets.emplace_back(elements.begin(), elements.end());
+  }
+  return copy;
+}
 
 TEST(SessionComponentsTest, EpochAppendsTrackComponentsAndMerges) {
   ClientBuyOptions gen;
@@ -337,11 +343,10 @@ TEST(SessionComponentsTest, EpochAppendsTrackComponentsAndMerges) {
         std::vector<BatchRow>(rows.begin() + start, rows.begin() + end));
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
 
-    // The live index must agree with a from-scratch rebuild of the patched
+    // The live index must agree with a from-scratch rebuild of the grown
     // instance — same count, identical partition.
-    SetCoverInstance copy = (*session)->instance();
-    copy.BuildLinks();
-    const ComponentIndex rebuilt = ComponentIndex::Build(copy);
+    const ComponentIndex rebuilt =
+        ComponentIndex::Build(CopySpans((*session)->frozen_instance()));
     ASSERT_EQ((*session)->components().num_components(),
               rebuilt.num_components());
     const ComponentPartition live = (*session)->components().Partition();

@@ -7,6 +7,7 @@
 
 #include "gen/paper_example.h"
 #include "repair/mono_local_fix.h"
+#include "repair/setcover/csr_instance.h"
 
 namespace dbrepair {
 namespace {
@@ -126,7 +127,8 @@ TEST_F(Example33Test, CrossConstraintLinks) {
 
 TEST_F(Example33Test, InstanceIsValidAndFeasible) {
   EXPECT_TRUE(problem_.instance.Validate().ok());
-  EXPECT_EQ(problem_.instance.MaxFrequency(), 3u);
+  EXPECT_EQ(CsrSetCoverInstance::Freeze(problem_.instance).max_frequency(),
+            3u);
   EXPECT_EQ(problem_.degrees.max_degree, 3u);
 }
 

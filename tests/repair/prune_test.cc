@@ -17,7 +17,6 @@ SetCoverInstance MakeInstance(
     instance.weights.push_back(w);
     instance.sets.push_back(std::move(elems));
   }
-  instance.BuildLinks();
   return instance;
 }
 
@@ -29,12 +28,13 @@ TEST(PruneTest, RemovesGreedyRedundantPick) {
                                                         {1.9, {0, 1}},
                                                         {1.9, {2, 3}},
                                                     });
-  const auto greedy = GreedySetCover(instance);
+  const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
+  const auto greedy = GreedySetCover(csr);
   ASSERT_TRUE(greedy.ok());
   ASSERT_EQ(greedy->chosen.size(), 3u);
   EXPECT_DOUBLE_EQ(greedy->weight, 4.8);
 
-  const SetCoverSolution pruned = PruneRedundantSets(instance, *greedy);
+  const SetCoverSolution pruned = PruneRedundantSets(csr, *greedy);
   EXPECT_EQ(pruned.chosen, (std::vector<uint32_t>{1, 2}));
   EXPECT_DOUBLE_EQ(pruned.weight, 3.8);
   EXPECT_TRUE(instance.IsCover(pruned.chosen));
@@ -46,7 +46,8 @@ TEST(PruneTest, KeepsIrredundantCover) {
                                                         {1.0, {1}},
                                                     });
   const SetCoverSolution solution{{0, 1}, 2.0, 2};
-  const SetCoverSolution pruned = PruneRedundantSets(instance, solution);
+  const SetCoverSolution pruned =
+      PruneRedundantSets(CsrSetCoverInstance::Freeze(instance), solution);
   EXPECT_EQ(pruned.chosen, solution.chosen);
   EXPECT_DOUBLE_EQ(pruned.weight, 2.0);
 }
@@ -62,7 +63,8 @@ TEST(PruneTest, DropsHeaviestRedundantFirst) {
                                                         {3.0, {1}},
                                                     });
   const SetCoverSolution solution{{0, 1, 2}, 5.0, 3};
-  const SetCoverSolution pruned = PruneRedundantSets(instance, solution);
+  const SetCoverSolution pruned =
+      PruneRedundantSets(CsrSetCoverInstance::Freeze(instance), solution);
   EXPECT_EQ(pruned.chosen, (std::vector<uint32_t>{1}));
   EXPECT_DOUBLE_EQ(pruned.weight, 1.0);
 }
@@ -74,7 +76,8 @@ TEST(PruneTest, MutualRedundancyRemovesOnlyOne) {
                                                         {1.0, {0, 1}},
                                                     });
   const SetCoverSolution solution{{0, 1}, 3.0, 2};
-  const SetCoverSolution pruned = PruneRedundantSets(instance, solution);
+  const SetCoverSolution pruned =
+      PruneRedundantSets(CsrSetCoverInstance::Freeze(instance), solution);
   ASSERT_EQ(pruned.chosen.size(), 1u);
   // The heavier S0 is examined (and removed) first.
   EXPECT_EQ(pruned.chosen[0], 1u);
@@ -106,18 +109,18 @@ TEST_P(PrunePropertyTest, NeverWorsensAndStaysACover) {
       instance.weights.push_back(3.0);
     }
   }
-  instance.BuildLinks();
+  const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
 
   for (const SolverKind kind :
        {SolverKind::kGreedy, SolverKind::kLayer,
         SolverKind::kModifiedLayer}) {
-    const auto solution = SolveSetCover(kind, instance);
+    const auto solution = SolveSetCover(kind, csr);
     ASSERT_TRUE(solution.ok());
-    const SetCoverSolution pruned = PruneRedundantSets(instance, *solution);
+    const SetCoverSolution pruned = PruneRedundantSets(csr, *solution);
     EXPECT_TRUE(instance.IsCover(pruned.chosen)) << SolverKindName(kind);
     EXPECT_LE(pruned.weight, solution->weight + 1e-9) << SolverKindName(kind);
     // Idempotent.
-    const SetCoverSolution again = PruneRedundantSets(instance, pruned);
+    const SetCoverSolution again = PruneRedundantSets(csr, pruned);
     EXPECT_EQ(again.chosen, pruned.chosen);
   }
 }

@@ -19,7 +19,6 @@ SetCoverInstance MakeInstance(size_t num_elements,
     instance.weights.push_back(w);
     instance.sets.push_back(std::move(elems));
   }
-  instance.BuildLinks();
   return instance;
 }
 
@@ -40,7 +39,8 @@ TEST(SetCoverInstanceTest, ValidateAccepts) {
   const SetCoverInstance instance = PaperExample33();
   EXPECT_TRUE(instance.Validate().ok());
   EXPECT_EQ(instance.num_sets(), 7u);
-  EXPECT_EQ(instance.MaxFrequency(), 3u);  // element 0 in S1, S2, S4
+  // Element 0 is in S1, S2, S4.
+  EXPECT_EQ(CsrSetCoverInstance::Freeze(instance).max_frequency(), 3u);
 }
 
 TEST(SetCoverInstanceTest, ValidateRejectsUncoveredElement) {
@@ -53,9 +53,9 @@ TEST(SetCoverInstanceTest, ValidateRejectsUnsortedSet) {
   EXPECT_FALSE(instance.Validate().ok());
 }
 
-TEST(SetCoverInstanceTest, ValidateRejectsStaleLinks) {
+TEST(SetCoverInstanceTest, ValidateRejectsOutOfRangeElement) {
   SetCoverInstance instance = MakeInstance(2, {{1.0, {0, 1}}});
-  instance.sets.push_back({0});
+  instance.sets.push_back({2});
   instance.weights.push_back(1.0);
   EXPECT_FALSE(instance.Validate().ok());
 }
@@ -70,17 +70,17 @@ TEST(SetCoverInstanceTest, SelectionHelpers) {
 TEST(GreedyTest, PaperExample34Trace) {
   // Example 3.4 walks the greedy: it picks S1, then S5, then S7 and reaches
   // the optimum weight 3.
-  const SetCoverInstance instance = PaperExample33();
-  const auto solution = GreedySetCover(instance);
+  const auto solution =
+      GreedySetCover(CsrSetCoverInstance::Freeze(PaperExample33()));
   ASSERT_TRUE(solution.ok());
   EXPECT_EQ(solution->chosen, (std::vector<uint32_t>{0, 4, 6}));
   EXPECT_DOUBLE_EQ(solution->weight, 3.0);
 }
 
 TEST(ModifiedGreedyTest, MatchesGreedyOnPaperExample) {
-  const SetCoverInstance instance = PaperExample33();
-  const auto greedy = GreedySetCover(instance);
-  const auto modified = ModifiedGreedySetCover(instance);
+  const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(PaperExample33());
+  const auto greedy = GreedySetCover(csr);
+  const auto modified = ModifiedGreedySetCover(csr);
   ASSERT_TRUE(greedy.ok());
   ASSERT_TRUE(modified.ok());
   EXPECT_EQ(modified->chosen, greedy->chosen);
@@ -88,9 +88,9 @@ TEST(ModifiedGreedyTest, MatchesGreedyOnPaperExample) {
 }
 
 TEST(LazyGreedyTest, MatchesGreedyOnPaperExample) {
-  const SetCoverInstance instance = PaperExample33();
-  const auto greedy = GreedySetCover(instance);
-  const auto lazy = LazyGreedySetCover(instance);
+  const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(PaperExample33());
+  const auto greedy = GreedySetCover(csr);
+  const auto lazy = LazyGreedySetCover(csr);
   ASSERT_TRUE(greedy.ok());
   ASSERT_TRUE(lazy.ok());
   EXPECT_EQ(lazy->chosen, greedy->chosen);
@@ -99,7 +99,7 @@ TEST(LazyGreedyTest, MatchesGreedyOnPaperExample) {
 
 TEST(ExactTest, PaperExampleOptimum) {
   const SetCoverInstance instance = PaperExample33();
-  const auto exact = ExactSetCover(instance);
+  const auto exact = ExactSetCover(CsrSetCoverInstance::Freeze(instance));
   ASSERT_TRUE(exact.ok());
   EXPECT_DOUBLE_EQ(exact->weight, 3.0);
   EXPECT_TRUE(instance.IsCover(exact->chosen));
@@ -107,7 +107,7 @@ TEST(ExactTest, PaperExampleOptimum) {
 
 TEST(LayerTest, ProducesValidCover) {
   const SetCoverInstance instance = PaperExample33();
-  const auto layer = LayerSetCover(instance);
+  const auto layer = LayerSetCover(CsrSetCoverInstance::Freeze(instance));
   ASSERT_TRUE(layer.ok());
   EXPECT_TRUE(instance.IsCover(layer->chosen));
   // Layer approximates within factor f = 3.
@@ -116,8 +116,9 @@ TEST(LayerTest, ProducesValidCover) {
 
 TEST(ModifiedLayerTest, MatchesLayerOnPaperExample) {
   const SetCoverInstance instance = PaperExample33();
-  const auto layer = LayerSetCover(instance);
-  const auto modified = ModifiedLayerSetCover(instance);
+  const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
+  const auto layer = LayerSetCover(csr);
+  const auto modified = ModifiedLayerSetCover(csr);
   ASSERT_TRUE(layer.ok());
   ASSERT_TRUE(modified.ok());
   EXPECT_TRUE(instance.IsCover(modified->chosen));
@@ -125,7 +126,8 @@ TEST(ModifiedLayerTest, MatchesLayerOnPaperExample) {
 }
 
 TEST(SolversTest, SingletonInstance) {
-  const SetCoverInstance instance = MakeInstance(1, {{2.0, {0}}});
+  const CsrSetCoverInstance instance =
+      CsrSetCoverInstance::Freeze(MakeInstance(1, {{2.0, {0}}}));
   for (const SolverKind kind :
        {SolverKind::kGreedy, SolverKind::kModifiedGreedy,
         SolverKind::kLazyGreedy, SolverKind::kLayer,
@@ -138,9 +140,8 @@ TEST(SolversTest, SingletonInstance) {
 }
 
 TEST(SolversTest, EmptyInstanceNeedsNoSets) {
-  SetCoverInstance instance;
-  instance.num_elements = 0;
-  instance.BuildLinks();
+  const CsrSetCoverInstance instance =
+      CsrSetCoverInstance::Freeze(SetCoverInstance{});
   for (const SolverKind kind :
        {SolverKind::kGreedy, SolverKind::kModifiedGreedy,
         SolverKind::kLazyGreedy, SolverKind::kLayer,
@@ -153,7 +154,8 @@ TEST(SolversTest, EmptyInstanceNeedsNoSets) {
 }
 
 TEST(SolversTest, InfeasibleInstanceReportsError) {
-  const SetCoverInstance instance = MakeInstance(2, {{1.0, {0}}});
+  const CsrSetCoverInstance instance =
+      CsrSetCoverInstance::Freeze(MakeInstance(2, {{1.0, {0}}}));
   for (const SolverKind kind :
        {SolverKind::kGreedy, SolverKind::kModifiedGreedy,
         SolverKind::kLazyGreedy, SolverKind::kLayer,
@@ -165,7 +167,7 @@ TEST(SolversTest, InfeasibleInstanceReportsError) {
 TEST(GreedyTest, ClassicLogFactorWorstCase) {
   // Elements 0..5; singleton sets of increasing value plus one big cheap
   // set: greedy picks the singletons, optimal picks the big set.
-  SetCoverInstance instance = MakeInstance(
+  const CsrSetCoverInstance instance = CsrSetCoverInstance::Freeze(MakeInstance(
       6, {
              {1.0 + 1e-3, {0, 1, 2, 3, 4, 5}},  // optimal
              {1.0 / 6.0 - 1e-6, {0}},
@@ -174,7 +176,7 @@ TEST(GreedyTest, ClassicLogFactorWorstCase) {
              {1.0 / 3.0 - 1e-6, {3}},
              {1.0 / 2.0 - 1e-6, {4}},
              {1.0 - 1e-6, {5}},
-         });
+         }));
   const auto greedy = GreedySetCover(instance);
   const auto exact = ExactSetCover(instance);
   ASSERT_TRUE(greedy.ok());
@@ -211,7 +213,6 @@ SetCoverInstance RandomInstance(Rng* rng, size_t num_elements,
       instance.weights.push_back(5.0);
     }
   }
-  instance.BuildLinks();
   return instance;
 }
 
@@ -221,8 +222,9 @@ TEST_P(RandomInstanceTest, AllSolversProduceValidCovers) {
   Rng rng(GetParam());
   const SetCoverInstance instance = RandomInstance(&rng, 30, 40);
   ASSERT_TRUE(instance.Validate().ok());
+  const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
 
-  const auto exact = ExactSetCover(instance);
+  const auto exact = ExactSetCover(csr);
   ASSERT_TRUE(exact.ok());
   EXPECT_TRUE(instance.IsCover(exact->chosen));
 
@@ -230,7 +232,7 @@ TEST_P(RandomInstanceTest, AllSolversProduceValidCovers) {
        {SolverKind::kGreedy, SolverKind::kModifiedGreedy,
         SolverKind::kLazyGreedy, SolverKind::kLayer,
         SolverKind::kModifiedLayer}) {
-    const auto solution = SolveSetCover(kind, instance);
+    const auto solution = SolveSetCover(kind, csr);
     ASSERT_TRUE(solution.ok()) << SolverKindName(kind);
     EXPECT_TRUE(instance.IsCover(solution->chosen)) << SolverKindName(kind);
     // No approximation may beat the optimum.
@@ -241,9 +243,9 @@ TEST_P(RandomInstanceTest, AllSolversProduceValidCovers) {
 
   // The modified and lazy greedies compute the same cover as the textbook
   // greedy (identical tie-breaking on set ids).
-  const auto greedy = GreedySetCover(instance);
-  const auto modified = ModifiedGreedySetCover(instance);
-  const auto lazy = LazyGreedySetCover(instance);
+  const auto greedy = GreedySetCover(csr);
+  const auto modified = ModifiedGreedySetCover(csr);
+  const auto lazy = LazyGreedySetCover(csr);
   ASSERT_TRUE(greedy.ok());
   ASSERT_TRUE(modified.ok());
   ASSERT_TRUE(lazy.ok());
@@ -251,9 +253,9 @@ TEST_P(RandomInstanceTest, AllSolversProduceValidCovers) {
   EXPECT_EQ(greedy->chosen, lazy->chosen);
 
   // The layer algorithms honour the frequency bound f * OPT.
-  const double f = static_cast<double>(instance.MaxFrequency());
-  const auto layer = LayerSetCover(instance);
-  const auto modified_layer = ModifiedLayerSetCover(instance);
+  const double f = static_cast<double>(csr.max_frequency());
+  const auto layer = LayerSetCover(csr);
+  const auto modified_layer = ModifiedLayerSetCover(csr);
   ASSERT_TRUE(layer.ok());
   ASSERT_TRUE(modified_layer.ok());
   EXPECT_LE(layer->weight, f * exact->weight + 1e-6);
@@ -268,7 +270,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomInstanceTest,
 
 TEST(ExactTest, NodeBudgetExhaustion) {
   Rng rng(77);
-  const SetCoverInstance instance = RandomInstance(&rng, 40, 60);
+  const CsrSetCoverInstance instance =
+      CsrSetCoverInstance::Freeze(RandomInstance(&rng, 40, 60));
   ExactSetCoverOptions options;
   options.max_nodes = 1;
   EXPECT_EQ(ExactSetCover(instance, options).status().code(),

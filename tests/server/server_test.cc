@@ -6,7 +6,9 @@
 #include "server/server.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -365,6 +367,46 @@ TEST(ServerTest, QuitEndsTheConnectionAndStopIsIdempotent) {
   (*server)->Stop();
   (*server)->Stop();  // idempotent
   EXPECT_FALSE(lingering->Send("PING").ok());
+}
+
+// Entries of a /proc/self directory: open fds ("fd") or threads ("task").
+size_t CountProcEntries(const char* dir) {
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string("/proc/self/") + dir)) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(ServerTest, ConnectionChurnReleasesFdsAndThreads) {
+  auto server = RepairServer::Start(TestOptions());
+  ASSERT_TRUE(server.ok());
+  const uint16_t port = (*server)->port();
+  const size_t fds_before = CountProcEntries("fd");
+  const size_t threads_before = CountProcEntries("task");
+
+  for (int i = 0; i < 300; ++i) {
+    auto client = RepairClient::Connect("127.0.0.1", port);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE(client->Send("PING").ok());
+  }  // each client closes its socket here
+
+  // A finished connection is reaped on the next accept, so only the last
+  // few may still hold their fd and thread. Give their loops a moment to
+  // see EOF.
+  constexpr size_t kSlack = 8;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline &&
+         (CountProcEntries("fd") > fds_before + kSlack ||
+          CountProcEntries("task") > threads_before + kSlack)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LE(CountProcEntries("fd"), fds_before + kSlack);
+  EXPECT_LE(CountProcEntries("task"), threads_before + kSlack);
+  (*server)->Stop();
 }
 
 }  // namespace
