@@ -175,6 +175,18 @@ void BM_ApplyCover(benchmark::State& state) {
   state.counters["chosen"] = static_cast<double>(cover->chosen.size());
 }
 
+// The storage copy ApplyCover and RepairSession::Open start from.
+void BM_DatabaseClone(benchmark::State& state) {
+  const PreparedProblem& prepared =
+      ClientBuyProblem(static_cast<size_t>(state.range(0)), 1);
+  for (auto _ : state) {
+    const Database copy = prepared.workload->db.Clone();
+    benchmark::DoNotOptimize(copy.TotalTuples());
+  }
+  state.counters["tuples"] =
+      static_cast<double>(prepared.workload->db.TotalTuples());
+}
+
 }  // namespace
 
 BENCHMARK(BM_FindViolationsEngine)
@@ -198,6 +210,10 @@ BENCHMARK(BM_BuildRepairProblem)
     ->Arg(10000)
     ->Arg(100000);
 BENCHMARK(BM_ApplyCover)
+    ->Unit(benchmark::kMillisecond)
+    ->Arg(10000)
+    ->Arg(100000);
+BENCHMARK(BM_DatabaseClone)
     ->Unit(benchmark::kMillisecond)
     ->Arg(10000)
     ->Arg(100000);

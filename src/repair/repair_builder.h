@@ -18,13 +18,25 @@ struct AppliedUpdate {
   int64_t new_value = 0;
 };
 
+/// The subsumption rule of Section 3 (remark after Algorithm 1): of the
+/// chosen fixes, the one that wins each (tuple, attribute) cell, as an index
+/// into `fixes`. A cover may hold several fixes for one cell (possible in
+/// non-optimal covers); the highest weight wins, and on equal weight the
+/// earliest in `chosen`. Winners come in (tuple, attribute) order — the
+/// order repairs apply their updates in. Costs one sort of `chosen`; errors
+/// on a set id outside `fixes`.
+Result<std::vector<uint32_t>> WinningFixes(
+    const std::vector<CandidateFix>& fixes,
+    const std::vector<uint32_t>& chosen);
+
 /// Materialises the repair D(C) of Definition 3.2 from a set cover:
 ///  * fixes of one tuple touching different attributes are combined into a
 ///    single local fix (Definition 3.2(a));
-///  * if a cover holds two fixes for the same (tuple, attribute) — possible
-///    in non-optimal covers — the higher-weight fix subsumes the other
-///    (Section 3, remark after Algorithm 1);
-///  * the resulting updates are applied to a clone of `db`.
+///  * of several fixes for one (tuple, attribute), WinningFixes keeps one;
+///  * the resulting updates are applied to a Clone() of `db`, and appended
+///    to `applied` in (tuple, attribute) order.
+/// The cost is one copy of `db`'s rows plus O(|C| log |C|): nothing is
+/// re-validated or re-indexed per row.
 Result<Database> ApplyCover(const Database& db, const RepairProblem& problem,
                             const SetCoverSolution& cover,
                             std::vector<AppliedUpdate>* applied = nullptr);

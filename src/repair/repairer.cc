@@ -17,6 +17,24 @@ namespace dbrepair {
 
 namespace {
 
+// Delta(db, repaired) from the update list alone: the sum of TupleDistance
+// over the distinct updated tuples. `updates` comes from ApplyCover, sorted
+// by tuple, so the terms are added in (relation, row) order — the order
+// DatabaseDistance's full rescan adds them in — and every tuple the rescan
+// would add besides contributes exactly 0.0, so the two sums are bit-equal.
+double UpdatedTuplesDistance(const DistanceFunction& distance,
+                             const Database& db, const Database& repaired,
+                             const std::vector<AppliedUpdate>& updates) {
+  double total = 0.0;
+  for (size_t i = 0; i < updates.size(); ++i) {
+    const TupleRef t = updates[i].tuple;
+    if (i > 0 && updates[i - 1].tuple == t) continue;
+    total += distance.TupleDistance(db.schema().relations()[t.relation],
+                                    db.tuple(t), repaired.tuple(t));
+  }
+  return total;
+}
+
 // The pipeline body, running inside an open `repair` span. Phase times come
 // from the spans themselves (one clock source), so the RepairStats fields
 // stay populated exactly as before the obs layer existed.
@@ -105,7 +123,13 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
     }
   }
 
+  obs::Span distance_span(&obs.tracer, "distance");
+  const double delta = UpdatedTuplesDistance(distance, db, repaired, updates);
+  distance_span.Finish();
+
+  obs::Span stats_span(&obs.tracer, "stats");
   RepairOutcome outcome{std::move(repaired), RepairStats{}, std::move(updates)};
+  outcome.stats.distance = delta;
   outcome.stats.num_violations = problem.violations.size();
   outcome.stats.violations_per_constraint.reserve(ics.size());
   for (const BoundConstraint& ic : ics) {
@@ -122,8 +146,6 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
   outcome.stats.max_degree = problem.degrees.max_degree;
   outcome.stats.num_components = problem.components.num_components();
   outcome.stats.cover_weight = cover.weight;
-  DBREPAIR_ASSIGN_OR_RETURN(outcome.stats.distance,
-                            distance.DatabaseDistance(db, outcome.repaired));
   const InconsistencyMeasure measure = ComputeInconsistencyMeasure(
       outcome.stats.distance, db.TotalTuples(),
       problem.degrees.per_tuple.size(), problem.violations.size());

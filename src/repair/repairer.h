@@ -96,7 +96,9 @@ struct RepairStats {
   double apply_seconds = 0.0;
   double verify_seconds = 0.0;
   /// Duration of the whole `repair` span (>= the phase sum; the remainder
-  /// is stats bookkeeping and distance computation).
+  /// is the `bind`/`locality` spans, the `distance` span (Delta(D, D') over
+  /// the updated tuples) and the `stats` span (outcome assembly and
+  /// metrics)).
   double total_seconds = 0.0;
 };
 

@@ -269,10 +269,9 @@ class RepairSession {
   Status PatchInstance(std::vector<ViolationSet> new_violations,
                        std::vector<CandidateFix> new_fixes, BatchStats* stats);
 
-  // Applies the chosen sets of `solution` to db_ (same subsumption rule as
-  // ApplyCover: of two picks on one (tuple, attribute), the higher-weight
-  // fix wins), recording which rows of which relations changed and the
-  // update list itself.
+  // Applies the chosen sets of `solution` to db_ (WinningFixes picks one
+  // fix per (tuple, attribute), as in ApplyCover), recording which rows of
+  // which relations changed and the update list itself.
   Status ApplyChosen(const SetCoverSolution& solution,
                      std::vector<std::vector<uint32_t>>* updated_rows,
                      std::vector<AppliedUpdate>* applied);

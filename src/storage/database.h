@@ -51,9 +51,10 @@ class Database {
   size_t TotalTuples() const;
 
   /// Deep copy sharing the schema. Used to materialise repairs without
-  /// touching the original instance. Copies the data and primary-key
-  /// indexes only; secondary (ordered) indexes are not carried over —
-  /// recreate them on the clone if needed.
+  /// touching the original instance. Copies each table's rows and flat
+  /// primary-key index verbatim (no row is re-validated or re-hashed), so
+  /// the cost is one copy of the data; secondary (ordered) indexes are not
+  /// carried over — recreate them on the clone if needed.
   Database Clone() const;
 
  private:

@@ -4,11 +4,70 @@
 
 namespace dbrepair {
 
-std::vector<Value> Table::ExtractKey(const Tuple& tuple) const {
-  std::vector<Value> key;
-  key.reserve(schema_->key_positions().size());
-  for (size_t pos : schema_->key_positions()) key.push_back(tuple.value(pos));
-  return key;
+namespace {
+
+// Slot vector size of the first insert (2^kInitialKeyBits).
+constexpr uint32_t kInitialKeyBits = 4;
+// Row ids are stored as uint32 row + 1 and the home slot comes from the
+// 32-bit tag, so a table holds at most 2^31 rows (2^32 slots at load 1/2).
+constexpr size_t kMaxRows = size_t{1} << 31;
+constexpr uint64_t kRowMask = 0xffffffffULL;
+
+// The MurmurHash3 finaliser. Value::Hash of an int is the int itself, so
+// strided keys would otherwise share their top bits, which pick the slot.
+uint64_t MixKeyHash(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+constexpr uint64_t kKeyHashSeed = 0x51ed270b;
+constexpr uint64_t kKeyHashPrime = 1099511628211ULL;
+
+}  // namespace
+
+uint64_t Table::KeyHash(const Tuple& tuple) const {
+  uint64_t h = kKeyHashSeed;
+  for (const size_t pos : schema_->key_positions()) {
+    h = h * kKeyHashPrime + tuple.value(pos).Hash();
+  }
+  return MixKeyHash(h);
+}
+
+uint64_t Table::KeyHash(const std::vector<Value>& key) const {
+  uint64_t h = kKeyHashSeed;
+  for (const Value& v : key) h = h * kKeyHashPrime + v.Hash();
+  return MixKeyHash(h);
+}
+
+template <class SameKey>
+size_t Table::ProbeKey(uint64_t hash, SameKey same_key) const {
+  const uint64_t tag = hash >> 32;
+  const size_t mask = key_slots_.size() - 1;
+  for (size_t i = hash >> (64 - key_bits_);; i = (i + 1) & mask) {
+    const uint64_t slot = key_slots_[i];
+    if (slot == 0) return i;
+    if ((slot >> 32) == tag && same_key(rows_[(slot & kRowMask) - 1])) {
+      return i;
+    }
+  }
+}
+
+void Table::GrowKeyIndex() {
+  const uint32_t bits = key_bits_ == 0 ? kInitialKeyBits : key_bits_ + 1;
+  std::vector<uint64_t> slots(size_t{1} << bits, 0);
+  const size_t mask = slots.size() - 1;
+  for (const uint64_t slot : key_slots_) {
+    if (slot == 0) continue;
+    size_t i = (slot >> 32) >> (32 - bits);
+    while (slots[i] != 0) i = (i + 1) & mask;
+    slots[i] = slot;
+  }
+  key_slots_ = std::move(slots);
+  key_bits_ = bits;
 }
 
 Status Table::CheckTypes(const Tuple& tuple) const {
@@ -37,15 +96,25 @@ Result<size_t> Table::Insert(Tuple tuple) {
         std::to_string(tuple.arity()));
   }
   DBREPAIR_RETURN_IF_ERROR(CheckTypes(tuple));
-  std::vector<Value> key = ExtractKey(tuple);
-  const auto [it, inserted] = key_index_.try_emplace(std::move(key),
-                                                     rows_.size());
-  if (!inserted) {
+  if (rows_.size() >= kMaxRows) {
+    return Status::OutOfRange("table '" + schema_->name() + "' is full");
+  }
+  if ((rows_.size() + 1) * 2 > key_slots_.size()) GrowKeyIndex();
+  const uint64_t hash = KeyHash(tuple);
+  const auto& kp = schema_->key_positions();
+  const size_t slot = ProbeKey(hash, [&](const Tuple& other) {
+    for (const size_t pos : kp) {
+      if (other.value(pos) != tuple.value(pos)) return false;
+    }
+    return true;
+  });
+  if (key_slots_[slot] != 0) {
     return Status::KeyViolation("duplicate primary key in '" +
                                 schema_->name() + "': " + tuple.ToString());
   }
+  const size_t row = rows_.size();
   rows_.push_back(std::move(tuple));
-  const size_t row = rows_.size() - 1;
+  key_slots_[slot] = ((hash >> 32) << 32) | (row + 1);
   for (auto& [attribute, index] : ordered_indexes_) {
     index.Insert(rows_[row].value(attribute), static_cast<uint32_t>(row));
   }
@@ -53,12 +122,19 @@ Result<size_t> Table::Insert(Tuple tuple) {
 }
 
 Result<size_t> Table::LookupByKey(const std::vector<Value>& key) const {
-  const auto it = key_index_.find(key);
-  if (it == key_index_.end()) {
-    return Status::NotFound("no tuple with the given key in '" +
-                            schema_->name() + "'");
+  const auto& kp = schema_->key_positions();
+  if (!rows_.empty() && key.size() == kp.size()) {
+    const size_t i = ProbeKey(KeyHash(key), [&](const Tuple& row) {
+      for (size_t k = 0; k < kp.size(); ++k) {
+        if (row.value(kp[k]) != key[k]) return false;
+      }
+      return true;
+    });
+    const uint64_t slot = key_slots_[i];
+    if (slot != 0) return static_cast<size_t>((slot & kRowMask) - 1);
   }
-  return it->second;
+  return Status::NotFound("no tuple with the given key in '" +
+                          schema_->name() + "'");
 }
 
 Status Table::UpdateValue(size_t row, size_t attribute, Value v) {
@@ -99,6 +175,14 @@ Status Table::CreateOrderedIndex(size_t attribute) {
 const BTreeIndex* Table::FindOrderedIndex(size_t attribute) const {
   const auto it = ordered_indexes_.find(attribute);
   return it == ordered_indexes_.end() ? nullptr : &it->second;
+}
+
+Table Table::Clone() const {
+  Table copy(schema_);
+  copy.rows_ = rows_;
+  copy.key_slots_ = key_slots_;
+  copy.key_bits_ = key_bits_;
+  return copy;
 }
 
 }  // namespace dbrepair

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "gen/client_buy.h"
 #include "gen/paper_example.h"
 #include "obs/context.h"
 #include "repair/api.h"
@@ -45,6 +49,31 @@ TEST(PipelineObsTest, SpanTreeCoversEveryPhase) {
     EXPECT_FALSE(node->open) << path;
     EXPECT_GE(node->duration_seconds, 0.0) << path;
   }
+}
+
+TEST(PipelineObsTest, ClientBuyRepairSpanHasEveryPhaseAsAChild) {
+  ObsContext obs;
+  ScopedObs scoped(&obs);
+  ClientBuyOptions gen;
+  gen.num_clients = 500;
+  gen.seed = 3;
+  const auto workload = GenerateClientBuy(gen);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  ASSERT_TRUE(RepairDatabase(workload->db, workload->ics).ok());
+
+  const SpanNode* root = obs.tracer.FindSpan("repair");
+  ASSERT_NE(root, nullptr);
+  std::vector<std::string> children;
+  for (const auto& child : root->children) {
+    children.push_back(child->name);
+    EXPECT_FALSE(child->open) << child->name;
+  }
+  // The post-solve tail is attributed too: Delta(D, D') in `distance`,
+  // outcome assembly and metrics in `stats`.
+  EXPECT_EQ(children,
+            (std::vector<std::string>{"bind", "locality", "build", "solve",
+                                      "apply", "verify", "distance",
+                                      "stats"}));
 }
 
 TEST(PipelineObsTest, ChildPhasesSumWithinRoot) {

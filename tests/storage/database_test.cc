@@ -58,6 +58,53 @@ TEST(DatabaseTest, ClonePreservesKeyIndex) {
           .ok());
 }
 
+TEST(DatabaseTest, CloneThenInsertIsIndependentBothWays) {
+  Database db(MakeClientBuySchema());
+  for (int64_t id = 0; id < 3000; ++id) {
+    ASSERT_TRUE(
+        db.Insert("Client", {Value::Int(id), Value::Int(20), Value::Int(30)})
+            .ok());
+  }
+  Database copy = db.Clone();
+
+  // A key inserted into the clone is not visible in the original...
+  ASSERT_TRUE(
+      copy.Insert("Client", {Value::Int(-1), Value::Int(1), Value::Int(1)})
+          .ok());
+  EXPECT_EQ(copy.table(0).LookupByKey({Value::Int(-1)}).value(), 3000u);
+  EXPECT_EQ(db.table(0).LookupByKey({Value::Int(-1)}).status().code(),
+            StatusCode::kNotFound);
+
+  // ...and one inserted into the original is not visible in the clone; the
+  // same key can then go into each copy once, at its own row.
+  ASSERT_TRUE(
+      db.Insert("Client", {Value::Int(-2), Value::Int(1), Value::Int(1)})
+          .ok());
+  EXPECT_EQ(copy.table(0).LookupByKey({Value::Int(-2)}).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(
+      db.Insert("Client", {Value::Int(-1), Value::Int(1), Value::Int(1)})
+          .ok());
+  EXPECT_EQ(db.table(0).LookupByKey({Value::Int(-1)}).value(), 3001u);
+  EXPECT_EQ(copy.table(0).LookupByKey({Value::Int(-1)}).value(), 3000u);
+
+  // Growing either side well past a resize keeps both indexes whole.
+  for (int64_t id = 3000; id < 9000; ++id) {
+    ASSERT_TRUE(
+        copy.Insert("Client", {Value::Int(id), Value::Int(20), Value::Int(30)})
+            .ok());
+  }
+  EXPECT_EQ(db.table(0).size(), 3002u);
+  EXPECT_EQ(copy.table(0).size(), 9001u);
+  EXPECT_FALSE(db.table(0).LookupByKey({Value::Int(5000)}).ok());
+  for (int64_t id = 0; id < 3000; ++id) {
+    ASSERT_EQ(db.table(0).LookupByKey({Value::Int(id)}).value(),
+              static_cast<size_t>(id));
+    ASSERT_EQ(copy.table(0).LookupByKey({Value::Int(id)}).value(),
+              static_cast<size_t>(id));
+  }
+}
+
 TEST(DatabaseTest, CloneDropsSecondaryIndexes) {
   Database db(MakeClientBuySchema());
   ASSERT_TRUE(
