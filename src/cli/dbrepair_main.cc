@@ -264,7 +264,7 @@ int RunCheck(const RepairConfig& config, bool quiet) {
   const DegreeInfo degrees = ComputeDegrees(*violations);
   std::printf("violation sets: %zu, inconsistent tuples: %zu, "
               "Deg(D, IC) = %u\n",
-              violations->size(), degrees.per_tuple.size(),
+              violations->size(), degrees.num_tuples(),
               degrees.max_degree);
   for (const BoundConstraint& ic : *bound) {
     size_t count = 0;

@@ -20,12 +20,19 @@ std::string ViolationSet::ToString() const {
 }
 
 DegreeInfo ComputeDegrees(const std::vector<ViolationSet>& violations) {
-  DegreeInfo info;
+  std::vector<uint64_t> members;
   for (const ViolationSet& v : violations) {
-    for (const TupleRef& t : v.tuples) {
-      const uint32_t deg = ++info.per_tuple[t];
-      info.max_degree = std::max(info.max_degree, deg);
-    }
+    for (const TupleRef& t : v.tuples) members.push_back(t.Packed());
+  }
+  std::sort(members.begin(), members.end());
+  DegreeInfo info;
+  for (size_t i = 0; i < members.size();) {
+    size_t end = i + 1;
+    while (end < members.size() && members[end] == members[i]) ++end;
+    const auto degree = static_cast<uint32_t>(end - i);
+    info.per_tuple.emplace_back(members[i], degree);
+    info.max_degree = std::max(info.max_degree, degree);
+    i = end;
   }
   return info;
 }

@@ -1,9 +1,10 @@
 #ifndef DBREPAIR_CONSTRAINTS_VIOLATION_H_
 #define DBREPAIR_CONSTRAINTS_VIOLATION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "storage/database.h"
@@ -41,13 +42,23 @@ struct ViolationSetHash {
 /// Degrees of inconsistency (Definition 2.4): how many violation sets each
 /// tuple belongs to, and the database-level maximum.
 struct DegreeInfo {
-  std::unordered_map<TupleRef, uint32_t, TupleRefHash> per_tuple;
+  /// (TupleRef::Packed(), Deg(t, IC)) of every tuple in some violation set,
+  /// sorted by tuple.
+  std::vector<std::pair<uint64_t, uint32_t>> per_tuple;
   uint32_t max_degree = 0;
 
+  /// Deg(t, IC); 0 for a tuple in no violation set.
   uint32_t Degree(TupleRef t) const {
-    const auto it = per_tuple.find(t);
-    return it == per_tuple.end() ? 0 : it->second;
+    const auto it = std::lower_bound(
+        per_tuple.begin(), per_tuple.end(), t.Packed(),
+        [](const std::pair<uint64_t, uint32_t>& entry, uint64_t packed) {
+          return entry.first < packed;
+        });
+    return it != per_tuple.end() && it->first == t.Packed() ? it->second : 0;
   }
+
+  /// Number of tuples involved in some violation set.
+  size_t num_tuples() const { return per_tuple.size(); }
 };
 
 /// Computes Deg(t, IC) for every tuple occurring in `violations` and

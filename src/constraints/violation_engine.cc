@@ -1364,55 +1364,57 @@ Result<bool> ViolationEngine::Satisfies(
 
 bool ViolationEngine::SetSatisfies(
     const BoundConstraint& ic,
-    const std::vector<std::pair<uint32_t, const Tuple*>>& tuples) {
-  const size_t num_vars = ic.var_names.size();
-  std::vector<const Value*> binding(num_vars, nullptr);
+    const std::vector<std::pair<uint32_t, const Tuple*>>& tuples,
+    const Substitution& substitution, SetCheckScratch* scratch) {
+  std::vector<const Value*>& binding = scratch->binding;
+  std::vector<int32_t>& trail = scratch->trail;
+  binding.assign(ic.var_names.size(), nullptr);
+  trail.clear();
 
-  // Built-ins evaluable once all their variables are bound; with every atom
-  // bound at the leaf all are evaluable, but we check eagerly per depth.
-  auto builtin_holds = [&](const BoundBuiltin& b) {
-    const Value* lhs = binding[b.lhs_var];
-    const Value* rhs = b.rhs_is_var ? binding[b.rhs_var] : &b.rhs_const;
-    if (lhs == nullptr || rhs == nullptr) return true;  // not yet bound
-    return EvalCompare(*lhs, b.op, rhs == &b.rhs_const ? b.rhs_const : *rhs);
+  // A built-in holds vacuously until both sides are bound, so the same test
+  // prunes partial bindings and decides the leaf.
+  auto builtins_hold = [&] {
+    for (const BoundBuiltin& b : ic.builtins) {
+      const Value* lhs = binding[b.lhs_var];
+      const Value* rhs = b.rhs_is_var ? binding[b.rhs_var] : &b.rhs_const;
+      if (lhs != nullptr && rhs != nullptr && !EvalCompare(*lhs, b.op, *rhs)) {
+        return false;
+      }
+    }
+    return true;
   };
 
   auto recurse = [&](auto&& self, size_t atom_index) -> bool {
     if (atom_index == ic.atoms.size()) {
-      for (const BoundBuiltin& b : ic.builtins) {
-        if (!builtin_holds(b)) return false;
-      }
-      return true;  // found a satisfying assignment -> the set violates ic
+      return true;  // a satisfying assignment: the set violates ic
     }
     const BoundAtom& atom = ic.atoms[atom_index];
-    for (const auto& [relation, tuple] : tuples) {
+    for (size_t m = 0; m < tuples.size(); ++m) {
+      const auto& [relation, tuple] = tuples[m];
       if (relation != atom.relation_index) continue;
       if (tuple->arity() != atom.var_ids.size()) continue;
+      const bool substituted = m == substitution.member;
+      const size_t mark = trail.size();
       bool ok = true;
-      std::vector<int32_t> bound_here;
       for (uint32_t pos = 0; pos < atom.var_ids.size() && ok; ++pos) {
         const int32_t vid = atom.var_ids[pos];
-        const Value& v = tuple->value(pos);
+        const Value& v = substituted && pos == substitution.attribute
+                             ? *substitution.value
+                             : tuple->value(pos);
         if (vid < 0) {
           ok = v == atom.constants[pos];
         } else if (binding[vid] != nullptr) {
           ok = v == *binding[vid];
         } else {
           binding[vid] = &v;
-          bound_here.push_back(vid);
+          trail.push_back(vid);
         }
       }
-      if (ok) {
-        // Early built-in pruning with the partial binding.
-        for (const BoundBuiltin& b : ic.builtins) {
-          if (!builtin_holds(b)) {
-            ok = false;
-            break;
-          }
-        }
+      if (ok && builtins_hold() && self(self, atom_index + 1)) return true;
+      while (trail.size() > mark) {
+        binding[trail.back()] = nullptr;
+        trail.pop_back();
       }
-      if (ok && self(self, atom_index + 1)) return true;
-      for (const int32_t vid : bound_here) binding[vid] = nullptr;
     }
     return false;
   };

@@ -97,14 +97,32 @@ class ViolationEngine {
                                 const std::vector<BoundConstraint>& ics,
                                 ViolationEngineOptions options = {});
 
-  /// Whether the tuple collection satisfies `ic`, i.e. *no* assignment of
-  /// the given tuples (relation index, tuple) to ic's atoms makes the body
-  /// true. Tuples may be used for several atoms (set semantics). This is the
-  /// Algorithm-4 check "(I \ {t}) union {t'} |= ic" where t' is a candidate
-  /// fix that is not stored in the database.
+  /// One cell substitution for SetSatisfies: member `member` of the tuple
+  /// collection is read with its attribute `attribute` replaced by `*value`.
+  struct Substitution {
+    size_t member = 0;
+    uint32_t attribute = 0;
+    const Value* value = nullptr;
+  };
+
+  /// Caller-owned scratch for SetSatisfies. Reused across calls, it makes a
+  /// warm check allocation-free.
+  struct SetCheckScratch {
+    std::vector<const Value*> binding;  // per variable; nullptr = unbound
+    std::vector<int32_t> trail;         // variables bound, in bind order
+  };
+
+  /// Whether the tuple collection, with `substitution` applied, satisfies
+  /// `ic`, i.e. *no* assignment of the given tuples (relation index, tuple)
+  /// to ic's atoms makes the body true. Tuples may be used for several atoms
+  /// (set semantics). This is the Algorithm-4 check
+  /// "(I \ {t}) union {t'} |= ic" where t' = t[A := v] is a candidate fix:
+  /// the caller passes I's tuples and the substitution (t, A, v), so the
+  /// fixed tuple is never materialised.
   static bool SetSatisfies(
       const BoundConstraint& ic,
-      const std::vector<std::pair<uint32_t, const Tuple*>>& tuples);
+      const std::vector<std::pair<uint32_t, const Tuple*>>& tuples,
+      const Substitution& substitution, SetCheckScratch* scratch);
 
  private:
   // Execution plan step for one atom in the chosen join order.

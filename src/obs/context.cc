@@ -42,16 +42,6 @@ void RestorePoolContext(void* previous) {
   return true;
 }();
 
-void FlattenPhases(const SpanNode& node, const std::string& prefix,
-                   double now_seconds, Json* phases) {
-  const std::string path =
-      prefix.empty() ? node.name : prefix + "/" + node.name;
-  phases->Set(path, Json(EffectiveDurationSeconds(node, now_seconds)));
-  for (const auto& child : node.children) {
-    FlattenPhases(*child, path, now_seconds, phases);
-  }
-}
-
 // Walks the span tree for the deepest span whose [start, end] window
 // contains [begin, end]; returns its '/'-joined path (empty when no span
 // contains the interval — e.g. events recorded outside any traced run).
@@ -144,9 +134,14 @@ ScopedObs::~ScopedObs() { CurrentObsSlot() = previous_; }
 Json BuildRunSnapshot(const ObsContext& context) {
   const double now = context.clock.SecondsSinceEpoch();
   Json phases = Json::MakeObject();
+  for (const auto& [path, seconds] : context.tracer.evicted_phases()) {
+    phases.Set(path, Json(seconds));
+  }
   Json trace = Json::MakeArray();
   for (const SpanNode* root : context.tracer.roots()) {
-    FlattenPhases(*root, "", now, &phases);
+    VisitSpanPaths(*root, [&](const std::string& path, const SpanNode& node) {
+      phases.Set(path, Json(EffectiveDurationSeconds(node, now)));
+    });
     trace.Append(SpanTreeToJson(*root, now));
   }
   Json out = Json::MakeObject();

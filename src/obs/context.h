@@ -54,6 +54,10 @@ class ScopedObs {
 ///    "trace": [<span tree>, ...],
 ///    "workers": {"lanes": [...], "phases": {...}}}      // when events on
 ///
+/// "phases" holds each span path's latest duration. It includes paths
+/// seen only in root spans the tracer has since evicted (Tracer::kMaxRoots);
+/// "trace" holds the kept roots.
+///
 /// Spans still open at snapshot time are marked "open": true and report
 /// elapsed-so-far (both in "phases" and in "trace"), so a mid-run snapshot
 /// is distinguishable from instant spans. When the event collector has

@@ -14,6 +14,20 @@ SpanNode* Tracer::OpenSpan(std::string_view name) {
   node->start_seconds = Now();
   SpanNode* raw = node.get();
   if (stack_.empty()) {
+    // No span is open, so every kept root is closed and safe to evict.
+    if (roots_.size() == kMaxRoots) {
+      VisitSpanPaths(*roots_.front(), [this](const std::string& path,
+                                             const SpanNode& evicted) {
+        for (auto& [known, seconds] : evicted_phases_) {
+          if (known == path) {
+            seconds = evicted.duration_seconds;
+            return;
+          }
+        }
+        evicted_phases_.emplace_back(path, evicted.duration_seconds);
+      });
+      roots_.pop_front();
+    }
     roots_.push_back(std::move(node));
   } else {
     stack_.back()->children.push_back(std::move(node));
@@ -45,7 +59,23 @@ std::vector<const SpanNode*> Tracer::roots() const {
   return out;
 }
 
+std::vector<std::pair<std::string, double>> Tracer::evicted_phases() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return evicted_phases_;
+}
+
 namespace {
+
+void VisitSpanPathsFrom(
+    const SpanNode& node, const std::string& prefix,
+    const std::function<void(const std::string&, const SpanNode&)>& fn) {
+  const std::string path =
+      prefix.empty() ? node.name : prefix + "/" + node.name;
+  fn(path, node);
+  for (const auto& child : node.children) {
+    VisitSpanPathsFrom(*child, path, fn);
+  }
+}
 
 const SpanNode* FindSpanIn(const SpanNode& node, std::string_view path) {
   const size_t slash = path.find('/');
@@ -73,6 +103,7 @@ void Tracer::Clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   roots_.clear();
   stack_.clear();
+  evicted_phases_.clear();
   clock_->Reset();
 }
 
@@ -89,6 +120,12 @@ double Span::Finish() {
     finished_ = true;
   }
   return duration_seconds_;
+}
+
+void VisitSpanPaths(
+    const SpanNode& root,
+    const std::function<void(const std::string&, const SpanNode&)>& fn) {
+  VisitSpanPathsFrom(root, "", fn);
 }
 
 double EffectiveDurationSeconds(const SpanNode& node, double now_seconds) {

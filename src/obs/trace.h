@@ -1,10 +1,13 @@
 #ifndef DBREPAIR_OBS_TRACE_H_
 #define DBREPAIR_OBS_TRACE_H_
 
+#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/clock.h"
@@ -42,7 +45,13 @@ class Tracer {
   /// The clock this tracer stamps spans against.
   const TraceClock& clock() const { return *clock_; }
 
-  /// Opens a span as a child of the innermost open span (or a new root).
+  /// Keep at most this many root spans, the most recent ones. A long-lived
+  /// context (a server tenant opens one root per batch) would otherwise
+  /// grow without bound. Equals a repair session's telemetry window.
+  static constexpr size_t kMaxRoots = 256;
+
+  /// Opens a span as a child of the innermost open span (or a new root,
+  /// evicting the oldest root once kMaxRoots are kept).
   SpanNode* OpenSpan(std::string_view name);
 
   /// Closes `node` (and any deeper spans left open) and returns its
@@ -50,8 +59,13 @@ class Tracer {
   double CloseSpan(SpanNode* node);
 
   /// Completed and open root spans, in open order. Pointers remain valid
-  /// until Clear().
+  /// until the root is evicted or Clear().
   std::vector<const SpanNode*> roots() const;
+
+  /// Latest duration of every '/'-separated span path recorded in an
+  /// evicted root, in first-eviction order, so a snapshot still reports
+  /// paths that occur only in evicted roots.
+  std::vector<std::pair<std::string, double>> evicted_phases() const;
 
   /// Looks a span up by '/'-separated path, e.g. "repair/build/setcover".
   /// Searches every root; returns nullptr when absent.
@@ -66,8 +80,9 @@ class Tracer {
   mutable std::mutex mu_;
   TraceClock own_clock_;
   TraceClock* clock_;
-  std::vector<std::unique_ptr<SpanNode>> roots_;
+  std::deque<std::unique_ptr<SpanNode>> roots_;
   std::vector<SpanNode*> stack_;
+  std::vector<std::pair<std::string, double>> evicted_phases_;
 };
 
 /// RAII scope: opens a span on construction, closes it on destruction (or
@@ -92,6 +107,12 @@ class Span {
   bool finished_ = false;
   double duration_seconds_ = 0.0;
 };
+
+/// Calls `fn(path, node)` for `root` and each descendant, parents first,
+/// with the node's '/'-joined path from `root` ("repair/build/fixes").
+void VisitSpanPaths(
+    const SpanNode& root,
+    const std::function<void(const std::string&, const SpanNode&)>& fn);
 
 /// Indented human-readable rendering of one span tree, one line per span
 /// with wall time in ms and the share of its parent. Spans still open are

@@ -1,50 +1,114 @@
 #include "repair/instance_builder.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/thread_pool.h"
 #include "constraints/locality.h"
 #include "obs/context.h"
 #include "obs/trace.h"
+#include "repair/fix_index.h"
 
 namespace dbrepair {
 
 namespace {
 
-// Key for candidate-fix deduplication: (tuple, attribute, new value).
-struct FixKey {
-  uint64_t tuple_packed;
-  uint32_t attribute;
-  int64_t value;
+// The Algorithm-3 targets of one call: for each (ic, relation), the
+// flexible attributes ic compares on that relation, in first-occurrence
+// order, each with its memoised MLF(t, ic, A) value and alpha weight.
+// MLF depends only on the (ic, relation, attribute) comparison group, so
+// the shard loop reads one dense table instead of searching maps.
+// Non-local groups (mixed comparison directions) have no MLF and are left
+// out.
+class FixTargets {
+ public:
+  struct Target {
+    uint32_t attribute = 0;
+    int64_t value = 0;
+    double alpha = 0.0;
+  };
 
-  bool operator==(const FixKey& o) const {
-    return tuple_packed == o.tuple_packed && attribute == o.attribute &&
-           value == o.value;
+  FixTargets(const Schema& schema, const std::vector<BoundConstraint>& ics)
+      : num_relations_(schema.relations().size()),
+        ranges_(ics.size() * num_relations_) {
+    const LocalityReport locality = CheckLocality(schema, ics);
+    using GroupKey = std::tuple<uint32_t, uint32_t, uint32_t>;  // ic, rel, A
+    std::map<GroupKey, std::vector<FlexibleComparison>> groups;
+    std::vector<std::vector<uint32_t>> attrs(ranges_.size());
+    for (const FlexibleComparison& cmp : locality.flexible_comparisons) {
+      auto& group = groups[{cmp.ic_index, cmp.relation, cmp.attribute}];
+      if (group.empty()) {
+        attrs[Slot(cmp.ic_index, cmp.relation)].push_back(cmp.attribute);
+      }
+      group.push_back(cmp);
+    }
+    for (size_t slot = 0; slot < ranges_.size(); ++slot) {
+      const auto ic = static_cast<uint32_t>(slot / num_relations_);
+      const auto rel = static_cast<uint32_t>(slot % num_relations_);
+      ranges_[slot].first = static_cast<uint32_t>(targets_.size());
+      for (const uint32_t attr : attrs[slot]) {
+        const std::optional<int64_t> value =
+            MonoLocalFixValue(groups[{ic, rel, attr}]);
+        if (!value.has_value()) continue;
+        targets_.push_back(
+            {attr, *value, schema.relations()[rel].attribute(attr).alpha});
+      }
+      ranges_[slot].second = static_cast<uint32_t>(targets_.size());
+    }
   }
+
+  // The targets of `relation`'s tuples under ic.
+  std::span<const Target> Of(uint32_t ic, uint32_t relation) const {
+    const auto [begin, end] = ranges_[Slot(ic, relation)];
+    return std::span<const Target>(targets_).subspan(begin, end - begin);
+  }
+
+ private:
+  size_t Slot(uint32_t ic, uint32_t relation) const {
+    return ic * num_relations_ + relation;
+  }
+
+  size_t num_relations_;
+  std::vector<std::pair<uint32_t, uint32_t>> ranges_;
+  std::vector<Target> targets_;
 };
 
-struct FixKeyHash {
-  size_t operator()(const FixKey& k) const {
-    size_t h = k.tuple_packed * 0x9e3779b97f4a7c15ULL;
-    h ^= (k.attribute + 0x9e3779b9U) + (h << 6) + (h >> 2);
-    h ^= std::hash<int64_t>{}(k.value) + (h << 6) + (h >> 2);
-    return h;
-  }
-};
-
-// A candidate discovered by one violation shard, before global id
-// assignment. Shards dedupe locally; the shard-order merge dedupes across
-// shards and hands out ids in exactly the serial first-encounter order.
-struct PendingFix {
+// A candidate before the drop of non-solving fixes: the CandidateFix
+// fields minus `solved`, which only the linking pass fills.
+struct FixDraft {
   FixKey key;
-  CandidateFix fix;
+  int64_t old_value = 0;
+  double weight = 0.0;
 };
+
+TupleRef UnpackTuple(uint64_t packed) {
+  return TupleRef{static_cast<uint32_t>(packed >> 32),
+                  static_cast<uint32_t>(packed)};
+}
+
+// One candidate as the linking pass reads it: tuple, then the substitution.
+struct LinkTarget {
+  uint64_t tuple_packed = 0;
+  int64_t value = 0;
+  uint32_t attribute = 0;
+  uint32_t fix = 0;  // draft id
+};
+
+struct PackedTupleHash {
+  uint64_t operator()(uint64_t packed) const {
+    const uint64_t h = packed * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 32);
+  }
+};
+
+// Packed tuple -> its first index in the sorted LinkTarget array.
+using TupleIndex = FlatIdMap<uint64_t, PackedTupleHash>;
 
 // A few shards per worker so one dense shard does not leave the other
 // workers idle; shard boundaries never influence the output.
@@ -77,109 +141,109 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
     const std::vector<ViolationSet>& violations, uint32_t vid_offset,
     size_t num_threads, ThreadPool* pool) {
   obs::ObsContext& obs = obs::CurrentObs();
-  std::vector<CandidateFix> fixes;
   const size_t max_shards =
       num_threads > 1 ? num_threads * kShardsPerThread : 1;
 
   // ---- Algorithm 3: candidate mono-local fixes. ----
   obs::Span fixes_span(&obs.tracer, "fixes");
-  // Comparisons of each ic on each flexible attribute, grouped.
-  const LocalityReport locality = CheckLocality(db.schema(), ics);
-  using GroupKey = std::tuple<uint32_t, uint32_t, uint32_t>;  // ic, rel, attr
-  std::map<GroupKey, std::vector<FlexibleComparison>> groups;
-  // Flexible attributes each (ic, relation) constrains.
-  std::map<std::pair<uint32_t, uint32_t>, std::vector<uint32_t>> ic_rel_attrs;
-  for (const FlexibleComparison& cmp : locality.flexible_comparisons) {
-    auto& group = groups[{cmp.ic_index, cmp.relation, cmp.attribute}];
-    if (group.empty()) {
-      ic_rel_attrs[{cmp.ic_index, cmp.relation}].push_back(cmp.attribute);
-    }
-    group.push_back(cmp);
-  }
-  // MLF(t, ic, A) depends only on the group, so memoise it once; workers
-  // then share read-only maps.
-  std::map<GroupKey, std::optional<int64_t>> group_values;
-  for (const auto& [key, group] : groups) {
-    group_values.emplace(key, MonoLocalFixValue(group));
-  }
+  const FixTargets targets(db.schema(), ics);
 
   // Violation shards emit their candidates in scan order into per-shard
-  // buffers; the shard-order merge assigns ids in the exact serial
-  // first-encounter order.
+  // buffers, deduplicated within the shard; the shard-order merge assigns
+  // ids in the exact serial first-encounter order.
   const auto fix_ranges = ShardRanges(violations.size(), max_shards);
-  std::vector<std::vector<PendingFix>> shard_fixes(fix_ranges.size());
+  std::vector<std::vector<FixDraft>> shard_fixes(fix_ranges.size());
   std::vector<uint64_t> fix_shard_ns(fix_ranges.size(), 0);
   ParallelFor(pool, fix_ranges.size(), [&](size_t s) {
     const obs::ScopedWorkEvent shard_event("fixes.shard");
     const auto start = std::chrono::steady_clock::now();
-    std::unordered_set<FixKey, FixKeyHash> seen;
+    std::vector<FixDraft>& out = shard_fixes[s];
+    FixIdMap seen;
     // Each violation set emits at most ~2 fixes per (tuple, attribute)
-    // pair it touches; reserving for twice the shard's violation count
-    // keeps the dedup set from rehashing on realistic densities.
-    seen.reserve(2 * (fix_ranges[s].second - fix_ranges[s].first));
+    // pair it touches; sizing for twice the shard's violation count keeps
+    // the dedup map from growing on realistic densities.
+    seen.Reserve(2 * (fix_ranges[s].second - fix_ranges[s].first));
     for (size_t vid = fix_ranges[s].first; vid < fix_ranges[s].second;
          ++vid) {
       const ViolationSet& v = violations[vid];
       for (const TupleRef t : v.tuples) {
-        const auto attrs_it = ic_rel_attrs.find({v.ic_index, t.relation});
-        if (attrs_it == ic_rel_attrs.end()) continue;
-        for (const uint32_t attr : attrs_it->second) {
-          const std::optional<int64_t>& new_value =
-              group_values.find({v.ic_index, t.relation, attr})->second;
-          if (!new_value.has_value()) continue;  // non-local ic; skip.
-          const Value& current = db.tuple(t).value(attr);
-          if (current.is_int() && current.AsInt() == *new_value) {
+        const std::span<const FixTargets::Target> group =
+            targets.Of(v.ic_index, t.relation);
+        if (group.empty()) continue;
+        const Tuple& tuple = db.tuple(t);
+        for (const FixTargets::Target& target : group) {
+          const Value& current = tuple.value(target.attribute);
+          if (current.is_int() && current.AsInt() == target.value) {
             continue;  // MLF(t, ic, A) == t changes nothing, solves nothing.
           }
+          const FixKey key{t.Packed(), target.value, target.attribute};
+          if (!seen.Insert(key, static_cast<uint32_t>(out.size())).second) {
+            continue;
+          }
           const int64_t old_value = current.is_int() ? current.AsInt() : 0;
-          const FixKey key{t.Packed(), attr, *new_value};
-          if (!seen.insert(key).second) continue;
-          CandidateFix fix;
-          fix.tuple = t;
-          fix.attribute = attr;
-          fix.old_value = old_value;
-          fix.new_value = *new_value;
-          const double alpha =
-              db.schema().relations()[t.relation].attribute(attr).alpha;
-          fix.weight = alpha * distance.ScalarDistance(
-                                   static_cast<double>(old_value),
-                                   static_cast<double>(*new_value));
-          shard_fixes[s].push_back(PendingFix{key, std::move(fix)});
+          out.push_back(FixDraft{
+              key, old_value,
+              target.alpha * distance.ScalarDistance(
+                                 static_cast<double>(old_value),
+                                 static_cast<double>(target.value))});
         }
       }
     }
     fix_shard_ns[s] = ElapsedNs(start);
   });
 
+  // One shard is already deduplicated; several are merged through one
+  // shared map.
   const auto fix_merge_start = std::chrono::steady_clock::now();
-  std::unordered_map<FixKey, uint32_t, FixKeyHash> fix_ids;
-  std::unordered_map<TupleRef, std::vector<uint32_t>, TupleRefHash>
-      tuple_fixes;
-  for (std::vector<PendingFix>& shard : shard_fixes) {
-    for (PendingFix& pending : shard) {
-      if (fix_ids.count(pending.key) > 0) continue;
-      const uint32_t id = static_cast<uint32_t>(fixes.size());
-      fix_ids.emplace(pending.key, id);
-      tuple_fixes[pending.fix.tuple].push_back(id);
-      fixes.push_back(std::move(pending.fix));
+  std::vector<FixDraft> drafts;
+  if (shard_fixes.size() == 1) {
+    drafts = std::move(shard_fixes[0]);
+  } else {
+    size_t pending = 0;
+    for (const std::vector<FixDraft>& shard : shard_fixes) {
+      pending += shard.size();
+    }
+    FixIdMap fix_ids;
+    fix_ids.Reserve(pending);
+    drafts.reserve(pending);
+    for (const std::vector<FixDraft>& shard : shard_fixes) {
+      for (const FixDraft& draft : shard) {
+        if (fix_ids.Insert(draft.key, static_cast<uint32_t>(drafts.size()))
+                .second) {
+          drafts.push_back(draft);
+        }
+      }
     }
   }
+  shard_fixes.clear();
   if (num_threads > 1) {
     RecordShardMetrics(&obs.metrics, "fixes", fix_shard_ns,
                        ElapsedNs(fix_merge_start));
   }
-  obs.metrics.GetCounter("build.candidate_fixes")->Add(fixes.size());
+  obs.metrics.GetCounter("build.candidate_fixes")->Add(drafts.size());
   fixes_span.Finish();
 
   // ---- Algorithm 4: link candidates to the violation sets they solve. ----
   obs::Span setcover_span(&obs.tracer, "setcover");
-  // Materialise each fixed tuple once.
-  std::vector<Tuple> fixed_tuples;
-  fixed_tuples.reserve(fixes.size());
-  for (const CandidateFix& fix : fixes) {
-    Tuple fixed = db.tuple(fix.tuple);
-    fixed.set_value(fix.attribute, Value::Int(fix.new_value));
-    fixed_tuples.push_back(std::move(fixed));
+  // Tuple -> candidates: one entry per candidate, sorted by (tuple, id),
+  // carrying what a check reads, plus each tuple's first index.
+  std::vector<LinkTarget> by_tuple(drafts.size());
+  for (uint32_t f = 0; f < drafts.size(); ++f) {
+    const FixKey& key = drafts[f].key;
+    by_tuple[f] = {key.tuple_packed, key.value, key.attribute, f};
+  }
+  std::sort(by_tuple.begin(), by_tuple.end(),
+            [](const LinkTarget& a, const LinkTarget& b) {
+              return a.tuple_packed != b.tuple_packed
+                         ? a.tuple_packed < b.tuple_packed
+                         : a.fix < b.fix;
+            });
+  TupleIndex first_target;
+  first_target.Reserve(drafts.size());
+  for (uint32_t i = 0; i < by_tuple.size(); ++i) {
+    if (i == 0 || by_tuple[i].tuple_packed != by_tuple[i - 1].tuple_packed) {
+      first_target.Insert(by_tuple[i].tuple_packed, i);
+    }
   }
 
   // Each shard records its (fix, violation) links in scan order; appending
@@ -193,6 +257,7 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
     const obs::ScopedWorkEvent shard_event("links.shard");
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::pair<uint32_t, const Tuple*>> members;
+    ViolationEngine::SetCheckScratch scratch;
     for (size_t vid = link_ranges[s].first; vid < link_ranges[s].second;
          ++vid) {
       const ViolationSet& v = violations[vid];
@@ -202,44 +267,67 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
         members.emplace_back(t.relation, &db.tuple(t));
       }
       for (size_t j = 0; j < v.tuples.size(); ++j) {
-        const auto fixes_it = tuple_fixes.find(v.tuples[j]);
-        if (fixes_it == tuple_fixes.end()) continue;
-        const Tuple* original = members[j].second;
-        for (const uint32_t f : fixes_it->second) {
-          members[j].second = &fixed_tuples[f];
+        const uint64_t packed = v.tuples[j].Packed();
+        // An absent tuple finds kNone, which ends the loop at once.
+        for (uint32_t i = first_target.Find(packed);
+             i < by_tuple.size() && by_tuple[i].tuple_packed == packed; ++i) {
+          const LinkTarget& target = by_tuple[i];
+          const Value fixed = Value::Int(target.value);
           ++shard_checks[s];
-          if (ViolationEngine::SetSatisfies(ic, members)) {
-            shard_links[s].emplace_back(f, static_cast<uint32_t>(vid));
+          if (ViolationEngine::SetSatisfies(
+                  ic, members, {j, target.attribute, &fixed}, &scratch)) {
+            shard_links[s].emplace_back(target.fix,
+                                        static_cast<uint32_t>(vid));
           }
         }
-        members[j].second = original;
       }
     }
     link_shard_ns[s] = ElapsedNs(start);
   });
 
+  // Lay the links out per candidate (a counting sort that keeps shard, so
+  // ascending-vid, order), then emit the candidates with a non-empty
+  // S(t, t'): the others are dropped (Definition 2.6(b)).
   const auto link_merge_start = std::chrono::steady_clock::now();
   uint64_t satisfies_checks = 0;
+  std::vector<uint32_t> solved_begin(drafts.size() + 1, 0);
   for (size_t s = 0; s < link_ranges.size(); ++s) {
     satisfies_checks += shard_checks[s];
-    for (const auto& [f, vid] : shard_links[s]) {
-      fixes[f].solved.push_back(vid_offset + vid);
+    for (const auto& [f, vid] : shard_links[s]) ++solved_begin[f + 1];
+  }
+  for (size_t f = 0; f < drafts.size(); ++f) {
+    solved_begin[f + 1] += solved_begin[f];
+  }
+  std::vector<uint32_t> solved(solved_begin.back());
+  {
+    std::vector<uint32_t> cursor(solved_begin.begin(), solved_begin.end() - 1);
+    for (const auto& links : shard_links) {
+      for (const auto& [f, vid] : links) {
+        solved[cursor[f]++] = vid_offset + vid;
+      }
     }
+  }
+  std::vector<CandidateFix> kept;
+  kept.reserve(drafts.size());
+  for (uint32_t f = 0; f < drafts.size(); ++f) {
+    if (solved_begin[f] == solved_begin[f + 1]) continue;
+    const FixDraft& draft = drafts[f];
+    CandidateFix& fix = kept.emplace_back();
+    fix.tuple = UnpackTuple(draft.key.tuple_packed);
+    fix.attribute = draft.key.attribute;
+    fix.old_value = draft.old_value;
+    fix.new_value = draft.key.value;
+    fix.weight = draft.weight;
+    fix.solved.assign(solved.begin() + solved_begin[f],
+                      solved.begin() + solved_begin[f + 1]);
   }
   if (num_threads > 1) {
     RecordShardMetrics(&obs.metrics, "links", link_shard_ns,
                        ElapsedNs(link_merge_start));
   }
   obs.metrics.GetCounter("build.satisfies_checks")->Add(satisfies_checks);
-
-  // Drop candidates with empty S(t, t') (Definition 2.6(b)), remapping ids.
-  std::vector<CandidateFix> kept;
-  kept.reserve(fixes.size());
-  for (CandidateFix& fix : fixes) {
-    if (!fix.solved.empty()) kept.push_back(std::move(fix));
-  }
   obs.metrics.GetCounter("build.fixes_dropped_unsolving")
-      ->Add(fixes.size() - kept.size());
+      ->Add(drafts.size() - kept.size());
   setcover_span.Finish();
   return kept;
 }

@@ -148,7 +148,7 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
   outcome.stats.cover_weight = cover.weight;
   const InconsistencyMeasure measure = ComputeInconsistencyMeasure(
       outcome.stats.distance, db.TotalTuples(),
-      problem.degrees.per_tuple.size(), problem.violations.size());
+      problem.degrees.num_tuples(), problem.violations.size());
   outcome.stats.inconsistent_tuples = measure.inconsistent_tuples;
   outcome.stats.inconsistency = measure.normalized;
   outcome.stats.build_seconds = build_seconds;

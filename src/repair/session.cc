@@ -12,6 +12,10 @@
 
 namespace dbrepair {
 
+// A session opens one root span per batch; the tracer keeps as many as the
+// telemetry window keeps batch records.
+static_assert(obs::Tracer::kMaxRoots == RepairSession::kTelemetryWindow);
+
 namespace {
 
 // Releases the session's busy flag on every exit path of ApplyBatch. The
@@ -109,11 +113,11 @@ Status RepairSession::Init() {
                          std::memory_order_relaxed);
   snapshot_ = std::move(problem.snapshot);
 
-  fix_ids_.reserve(fixes_.size());
+  fix_ids_.Reserve(fixes_.size());
   for (uint32_t f = 0; f < fixes_.size(); ++f) {
-    fix_ids_.emplace(FixKey{fixes_[f].tuple.Packed(), fixes_[f].attribute,
-                            fixes_[f].new_value},
-                     f);
+    fix_ids_.Insert(FixKey{fixes_[f].tuple.Packed(), fixes_[f].new_value,
+                           fixes_[f].attribute},
+                    f);
   }
 
   ViolationEngineOptions engine_options = options_.build.engine;
@@ -535,14 +539,14 @@ Status RepairSession::PatchInstance(std::vector<ViolationSet> new_violations,
   // Phase 1: collect the epoch. Extensions borrow new_fixes' element
   // lists, new sets the fixes_ entries they become.
   for (CandidateFix& fix : new_fixes) {
-    const FixKey key{fix.tuple.Packed(), fix.attribute, fix.new_value};
-    const auto it = fix_ids_.find(key);
-    if (it != fix_ids_.end()) {
+    const auto [set_id, inserted] = fix_ids_.Insert(
+        FixKey{fix.tuple.Packed(), fix.new_value, fix.attribute},
+        static_cast<uint32_t>(fixes_.size()));
+    if (!inserted) {
       // Same (tuple, attribute, value) as an earlier, still-unchosen fix:
       // extend its set with the new violation ids and refresh its weight
       // against the cell's current value (an applied fix on the same cell
       // may have moved it since the set was created).
-      const uint32_t set_id = it->second;
       const bool reweighted = csr_.weight(set_id) != fix.weight;
       if (reweighted) {
         fixes_[set_id].weight = fix.weight;
@@ -556,7 +560,6 @@ Status RepairSession::PatchInstance(std::vector<ViolationSet> new_violations,
       stats->num_extended_fixes += 1;
     } else {
       stats->components_merged += components_.AddSet(fix.solved);
-      fix_ids_.emplace(key, static_cast<uint32_t>(fixes_.size()));
       fixes_.push_back(std::move(fix));
       stats->num_new_fixes += 1;
     }

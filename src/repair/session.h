@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "constraints/violation.h"
 #include "constraints/violation_engine.h"
 #include "repair/distance.h"
+#include "repair/fix_index.h"
 #include "repair/inconsistency.h"
 #include "repair/repair_builder.h"
 #include "repair/repairer.h"
@@ -238,25 +238,6 @@ class RepairSession {
   }
 
  private:
-  struct FixKey {
-    uint64_t tuple_packed = 0;
-    uint32_t attribute = 0;
-    int64_t value = 0;
-
-    bool operator==(const FixKey& o) const {
-      return tuple_packed == o.tuple_packed && attribute == o.attribute &&
-             value == o.value;
-    }
-  };
-  struct FixKeyHash {
-    size_t operator()(const FixKey& k) const {
-      size_t h = k.tuple_packed * 0x9e3779b97f4a7c15ULL;
-      h ^= (k.attribute + 0x9e3779b9U) + (h << 6) + (h >> 2);
-      h ^= std::hash<int64_t>{}(k.value) + (h << 6) + (h >> 2);
-      return h;
-    }
-  };
-
   RepairSession(const Database& db, std::vector<BoundConstraint> ics,
                 const RepairOptions& options);
 
@@ -293,7 +274,7 @@ class RepairSession {
 
   std::vector<ViolationSet> violations_;  // element ids are indices here
   std::vector<CandidateFix> fixes_;       // set ids are indices here
-  std::unordered_map<FixKey, uint32_t, FixKeyHash> fix_ids_;
+  FixIdMap fix_ids_;  // (tuple, attribute, value) -> set id
   CsrSetCoverInstance csr_;         // one AppendEpoch per batch
   ComponentIndex components_;       // live index; mutated next to csr_
   // Published copy of components_.num_components() for lock-free STATS

@@ -199,6 +199,18 @@ TEST(ViolationEngineTest, ResourceCap) {
             StatusCode::kResourceExhausted);
 }
 
+// SetSatisfies on `members` with member `member`'s attribute `attribute`
+// substituted by INT `value`.
+using Members = std::vector<std::pair<uint32_t, const Tuple*>>;
+
+bool SatisfiesWith(const BoundConstraint& ic, const Members& members,
+                   size_t member, uint32_t attribute, int64_t value) {
+  const Value substituted = Value::Int(value);
+  ViolationEngine::SetCheckScratch scratch;
+  return ViolationEngine::SetSatisfies(
+      ic, members, {member, attribute, &substituted}, &scratch);
+}
+
 TEST(SetSatisfiesTest, DetectsViolationAndSatisfaction) {
   const GeneratedWorkload w = MakePaperPubExample();
   auto bound = BindAll(w.db.schema(), w.ics);
@@ -207,15 +219,9 @@ TEST(SetSatisfiesTest, DetectsViolationAndSatisfaction) {
 
   const Tuple& t1 = w.db.tuple(TupleRef{0, 0});
   // t1 = (B1, 1, 40, 0) violates ic1 (EF > 0, PRC < 50).
-  EXPECT_FALSE(ViolationEngine::SetSatisfies(ic1, {{0, &t1}}));
-
-  Tuple fixed = t1;
-  fixed.set_value(1, Value::Int(0));  // EF := 0
-  EXPECT_TRUE(ViolationEngine::SetSatisfies(ic1, {{0, &fixed}}));
-
-  Tuple fixed_prc = t1;
-  fixed_prc.set_value(2, Value::Int(50));  // PRC := 50
-  EXPECT_TRUE(ViolationEngine::SetSatisfies(ic1, {{0, &fixed_prc}}));
+  EXPECT_FALSE(SatisfiesWith(ic1, {{0, &t1}}, 0, 1, 1));  // EF := 1 (as is)
+  EXPECT_TRUE(SatisfiesWith(ic1, {{0, &t1}}, 0, 1, 0));   // EF := 0
+  EXPECT_TRUE(SatisfiesWith(ic1, {{0, &t1}}, 0, 2, 50));  // PRC := 50
 }
 
 TEST(SetSatisfiesTest, CrossRelationCheck) {
@@ -226,22 +232,73 @@ TEST(SetSatisfiesTest, CrossRelationCheck) {
 
   const Tuple& t1 = w.db.tuple(TupleRef{0, 0});
   const Tuple& p1 = w.db.tuple(TupleRef{1, 0});
-  EXPECT_FALSE(ViolationEngine::SetSatisfies(ic3, {{0, &t1}, {1, &p1}}));
-
-  Tuple p1_fixed = p1;
-  p1_fixed.set_value(2, Value::Int(40));  // Pag := 40
-  EXPECT_TRUE(
-      ViolationEngine::SetSatisfies(ic3, {{0, &t1}, {1, &p1_fixed}}));
-
-  Tuple t1_fixed = t1;
-  t1_fixed.set_value(2, Value::Int(70));  // PRC := 70
-  EXPECT_TRUE(
-      ViolationEngine::SetSatisfies(ic3, {{0, &t1_fixed}, {1, &p1}}));
-
+  const Members members = {{0, &t1}, {1, &p1}};
+  EXPECT_TRUE(SatisfiesWith(ic3, members, 1, 2, 40));   // Pag := 40
+  EXPECT_TRUE(SatisfiesWith(ic3, members, 0, 2, 70));   // PRC := 70
   // An unrelated fix (EF := 0) does not solve the ic3 violation.
-  Tuple t1_ef = t1;
-  t1_ef.set_value(1, Value::Int(0));
-  EXPECT_FALSE(ViolationEngine::SetSatisfies(ic3, {{0, &t1_ef}, {1, &p1}}));
+  EXPECT_FALSE(SatisfiesWith(ic3, members, 0, 1, 0));
+}
+
+TEST(SetSatisfiesTest, SubstitutedValueEqualToCurrentChangesNothing) {
+  const GeneratedWorkload w = MakePaperPubExample();
+  auto bound = BindAll(w.db.schema(), w.ics);
+  ASSERT_TRUE(bound.ok());
+  const Tuple& t1 = w.db.tuple(TupleRef{0, 0});
+  const Tuple& p1 = w.db.tuple(TupleRef{1, 0});
+  const Members members = {{0, &t1}, {1, &p1}};
+  // {t1, p1} violates ic3; rewriting any cell to its own value keeps it so,
+  // whichever member and attribute carry the substitution.
+  for (size_t m = 0; m < members.size(); ++m) {
+    const Tuple& tuple = *members[m].second;
+    for (uint32_t a = 0; a < tuple.arity(); ++a) {
+      const Value& current = tuple.value(a);
+      ViolationEngine::SetCheckScratch scratch;
+      EXPECT_FALSE(ViolationEngine::SetSatisfies((*bound)[2], members,
+                                                 {m, a, &current}, &scratch))
+          << "member " << m << " attribute " << a;
+    }
+  }
+}
+
+TEST(SetSatisfiesTest, FixFromOneConstraintsGroupSolvesAnother) {
+  // MLF(t1, ic1, EF) = 0 comes from ic1's `EF > 0`; the same substitution
+  // also solves ic2's set {t1} (EF > 0, CF < 1). ic1's PRC := 50 does not.
+  const GeneratedWorkload w = MakePaperPubExample();
+  auto bound = BindAll(w.db.schema(), w.ics);
+  ASSERT_TRUE(bound.ok());
+  const BoundConstraint& ic2 = (*bound)[1];
+  const Tuple& t1 = w.db.tuple(TupleRef{0, 0});
+  EXPECT_FALSE(SatisfiesWith(ic2, {{0, &t1}}, 0, 1, 1));
+  EXPECT_TRUE(SatisfiesWith(ic2, {{0, &t1}}, 0, 1, 0));
+  EXPECT_FALSE(SatisfiesWith(ic2, {{0, &t1}}, 0, 2, 50));
+}
+
+TEST(SetSatisfiesTest, SelfJoinReadsTheSubstitutionInEveryAtom) {
+  // One tuple binds both atoms of a self-join, and the substituted EF is
+  // the join variable and filtered in both atoms: only a check that reads
+  // the substituted value in *both* atoms finds the violation.
+  const GeneratedWorkload w = MakePaperTableExample();
+  auto ics = ParseConstraintSet(
+      "sj: :- Paper(x, y, z, w), Paper(x2, y, z2, w2), y > 3\n");
+  ASSERT_TRUE(ics.ok()) << ics.status().ToString();
+  auto bound = BindAll(w.db.schema(), *ics);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  const BoundConstraint& sj = (*bound)[0];
+
+  const Tuple& t1 = w.db.tuple(TupleRef{0, 0});  // EF = 1
+  const Tuple& t2 = w.db.tuple(TupleRef{0, 1});  // EF = 1
+  const Members members = {{0, &t1}, {0, &t2}};
+  EXPECT_TRUE(SatisfiesWith(sj, members, 0, 1, 1));
+  // t1' = t1[EF := 4] joins itself with y = 4 > 3.
+  EXPECT_FALSE(SatisfiesWith(sj, members, 0, 1, 4));
+  EXPECT_FALSE(SatisfiesWith(sj, members, 1, 1, 4));
+  // y = 2 joins only itself, and 2 > 3 fails.
+  EXPECT_TRUE(SatisfiesWith(sj, members, 0, 1, 2));
+
+  // The materialised fixed tuple gives the same verdict.
+  Tuple t1_fixed = t1;
+  t1_fixed.set_value(1, Value::Int(4));
+  EXPECT_FALSE(SatisfiesWith(sj, {{0, &t1_fixed}, {0, &t2}}, 0, 1, 4));
 }
 
 TEST(ViolationEngineTest, OrderedIndexPushdownMatchesScan) {

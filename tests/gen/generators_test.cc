@@ -130,7 +130,7 @@ TEST(ClientBuyGeneratorTest, RatioControlsInvolvedTuples) {
   const auto violations = engine.FindViolations();
   ASSERT_TRUE(violations.ok());
   const DegreeInfo degrees = ComputeDegrees(*violations);
-  const double involved = static_cast<double>(degrees.per_tuple.size()) /
+  const double involved = static_cast<double>(degrees.num_tuples()) /
                           static_cast<double>(w->db.TotalTuples());
   // "around 30% of tuples involved in inconsistencies": generator places
   // ~30% of clients in violation; with their purchases the involved-tuple

@@ -33,6 +33,37 @@ TEST(TracerTest, SpansNestInOpenOrder) {
   EXPECT_EQ(root.children[1]->children[1]->name, "fixes");
 }
 
+TEST(TracerTest, KeepsTheNewestRootsAndTheEvictedPaths) {
+  ObsContext context;
+  Tracer& tracer = context.tracer;
+  {
+    Span first(&tracer, "first");
+    { Span child(&tracer, "child"); }
+  }
+  for (size_t i = 0; i < Tracer::kMaxRoots + 40; ++i) {
+    Span batch(&tracer, "batch");
+  }
+  const auto roots = tracer.roots();
+  ASSERT_EQ(roots.size(), Tracer::kMaxRoots);
+  for (const SpanNode* root : roots) EXPECT_EQ(root->name, "batch");
+  EXPECT_EQ(tracer.FindSpan("first"), nullptr);
+  const auto evicted = tracer.evicted_phases();
+  ASSERT_EQ(evicted.size(), 3u);
+  EXPECT_EQ(evicted[0].first, "first");
+  EXPECT_EQ(evicted[1].first, "first/child");
+  EXPECT_EQ(evicted[2].first, "batch");
+
+  // The snapshot's phases keep the evicted paths; its trace only the kept
+  // roots.
+  const Json snapshot = BuildRunSnapshot(context);
+  EXPECT_NE(snapshot.Find("phases")->Find("first/child"), nullptr);
+  EXPECT_EQ(snapshot.Find("trace")->AsArray().size(), Tracer::kMaxRoots);
+
+  tracer.Clear();
+  EXPECT_TRUE(tracer.roots().empty());
+  EXPECT_TRUE(tracer.evicted_phases().empty());
+}
+
 TEST(TracerTest, FinishReturnsDurationAndIsIdempotent) {
   Tracer tracer;
   Span span(&tracer, "work");

@@ -30,6 +30,7 @@
 #include "constraints/violation_engine.h"
 #include "gen/census.h"
 #include "gen/client_buy.h"
+#include "obs/context.h"
 #include "obs/json.h"
 #include "repair/api.h"
 #include "repair/inconsistency.h"
@@ -305,6 +306,33 @@ TEST(SessionTest, TelemetryWindowIsBounded) {
   // Totals still count every batch, including the dropped ones.
   EXPECT_EQ((*session)->stats().num_batches,
             RepairSession::kTelemetryWindow + 10);
+}
+
+TEST(SessionTest, SpanTreeKeepsTheRecentBatchesOnly) {
+  // Every batch opens one root span. The tracer keeps the newest
+  // kTelemetryWindow of them, "phases" still reports paths only evicted
+  // roots held (session.open), and the snapshot stops growing.
+  obs::ObsContext context;
+  const obs::ScopedObs scoped(&context);
+  const Database empty(MakeClientBuySchema());
+  auto session = RepairSession::Open(empty, MakeClientBuyConstraints());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  size_t trace_length_at_300 = 0;
+  for (int64_t i = 1; i <= 600; ++i) {
+    auto batch = (*session)->ApplyBatch(
+        {{"Client", {Value::Int(10000 + i), Value::Int(30), Value::Int(10)}}});
+    ASSERT_TRUE(batch.ok()) << i << ": " << batch.status().ToString();
+    if (i == 300) {
+      trace_length_at_300 =
+          obs::BuildRunSnapshot(context).Find("trace")->AsArray().size();
+    }
+  }
+  EXPECT_EQ(context.tracer.roots().size(), RepairSession::kTelemetryWindow);
+  const obs::Json snapshot = obs::BuildRunSnapshot(context);
+  EXPECT_NE(snapshot.Find("phases")->Find("session.open"), nullptr);
+  EXPECT_NE(snapshot.Find("phases")->Find("session.batch/detect"), nullptr);
+  EXPECT_EQ(snapshot.Find("trace")->AsArray().size(), trace_length_at_300);
+  EXPECT_EQ(trace_length_at_300, RepairSession::kTelemetryWindow);
 }
 
 TEST(SessionTest, EmptyAndNetNegativeBatches) {

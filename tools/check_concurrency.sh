@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds the tree under ThreadSanitizer and runs the concurrency-labelled
 # tests: the thread-pool unit tests, the serial-vs-parallel differential
-# harness, the RepairSession suite (whose concurrent-ApplyBatch misuse
+# harness (with the Algorithms 3-4 candidate-fix oracle at 1 and 4
+# threads), the RepairSession suite (whose concurrent-ApplyBatch misuse
 # case must fail cleanly, not racily), the CSR set-cover instance suite
 # (which replays the per-batch epoch appends at 1 and 4 threads), the
 # component-solve suite (sharded-vs-monolithic byte-identity with the
