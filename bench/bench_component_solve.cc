@@ -1,15 +1,15 @@
-// Component-sharded solve — the per-component solve fan-out against the
+// Component-sharded solve — the packed component solve fan-out against the
 // monolithic solver on identical multi-component MWSCP instances. Elements
 // land in conflict components by a Zipf draw (a few hot components, a long
 // tail — the shape the zipf-hotspot scenario induces), sets never cross
 // components, and both sides compute byte-identical covers; the pair
-// isolates the parallel speedup of dispatching one solve task per component
-// onto the shared thread pool (extract + solve + (key, id)-merge, exactly
-// the repairer's solve span).
+// isolates the parallel speedup of packing the components into solve tasks
+// on the shared thread pool (extract + solve + (key, id)-merge, exactly
+// the repairer's solve span). At 1 thread SolveSetCoverSharded is the
+// monolithic solve, so the sweep's baseline is the serial solver itself.
 //
-// The BM_ComponentSolve/100000/{1,2,4} sweep is the acceptance headline
-// merged into BENCH_summary.json by tools/run_benchmarks.sh: the 4-thread
-// run must clear 2x over 1 thread at 100k elements.
+// The BM_ComponentSolve/100000/{1,2,4} sweep is the headline merged into
+// BENCH_summary.json by tools/run_benchmarks.sh.
 
 #include <benchmark/benchmark.h>
 
@@ -103,8 +103,8 @@ const Workload& CachedWorkload(size_t elements) {
   return *it->second;
 }
 
-// The repairer's sharded solve span: partition + per-component extract /
-// solve / merge. threads == 1 runs without a pool (the caller-inline path).
+// The repairer's sharded solve span: partition + per-task extract / solve /
+// merge. threads == 1 runs without a pool: partition + the monolithic solve.
 void BM_ComponentSolve(benchmark::State& state) {
   const size_t elements = static_cast<size_t>(state.range(0));
   const size_t threads = static_cast<size_t>(state.range(1));

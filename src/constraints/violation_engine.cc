@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
 
 #include "obs/context.h"
 
@@ -75,6 +74,12 @@ constexpr uint64_t kKeySeed = 0xcbf29ce484222325ULL;
 
 uint64_t CombineKeyCodes(uint64_t h, uint64_t code) {
   return (h ^ code) * 0x100000001b3ULL;
+}
+
+Status CapExceeded(size_t max_violation_sets) {
+  return Status::ResourceExhausted(
+      "violation-set enumeration exceeded max_violation_sets = " +
+      std::to_string(max_violation_sets));
 }
 
 // EvalCompare's tail over an already-computed three-way comparison.
@@ -509,20 +514,20 @@ const TableStats& ViolationEngine::GetStats(uint32_t relation) {
       .first->second;
 }
 
-Status ViolationEngine::ExecuteInto(
-    const Plan& plan, const AtomFilters* filters,
-    std::unordered_set<ViolationSet, ViolationSetHash>* dedupe_out,
-    ExecCounters* counters) const {
+Status ViolationEngine::ExecuteInto(const Plan& plan,
+                                    const AtomFilters* filters,
+                                    ViolationBuffer* buffer,
+                                    ExecCounters* counters) const {
   if (plan.columnar != nullptr) {
-    return ExecuteColumnarInto(plan, filters, dedupe_out, counters);
+    return ExecuteColumnarInto(plan, filters, buffer, counters);
   }
-  return ExecuteRowInto(plan, filters, dedupe_out, counters);
+  return ExecuteRowInto(plan, filters, buffer, counters);
 }
 
-Status ViolationEngine::ExecuteRowInto(
-    const Plan& plan, const AtomFilters* filters,
-    std::unordered_set<ViolationSet, ViolationSetHash>* dedupe_out,
-    ExecCounters* counters) const {
+Status ViolationEngine::ExecuteRowInto(const Plan& plan,
+                                       const AtomFilters* filters,
+                                       ViolationBuffer* buffer,
+                                       ExecCounters* counters) const {
   const BoundConstraint& ic = *plan.ic;
   const AtomFilter no_filter;
 
@@ -531,7 +536,6 @@ Status ViolationEngine::ExecuteRowInto(
 
   std::vector<const Value*> binding(plan.num_classes, nullptr);
   std::vector<TupleRef> current(plan.steps.size());
-  std::unordered_set<ViolationSet, ViolationSetHash>& dedupe = *dedupe_out;
 
   uint64_t rows_scanned = 0;
   uint64_t assignments_found = 0;
@@ -541,17 +545,8 @@ Status ViolationEngine::ExecuteRowInto(
   auto recurse = [&](auto&& self, size_t depth) -> bool {  // false = abort
     if (depth == plan.steps.size()) {
       ++assignments_found;
-      ViolationSet vs;
-      vs.ic_index = ic.ic_index;
-      vs.tuples = current;
-      std::sort(vs.tuples.begin(), vs.tuples.end());
-      vs.tuples.erase(std::unique(vs.tuples.begin(), vs.tuples.end()),
-                      vs.tuples.end());
-      if (dedupe.insert(std::move(vs)).second &&
-          dedupe.size() > options_.max_violation_sets) {
-        status = Status::ResourceExhausted(
-            "violation-set enumeration exceeded max_violation_sets = " +
-            std::to_string(options_.max_violation_sets));
+      if (!buffer->Append(current.data())) {
+        status = CapExceeded(options_.max_violation_sets);
         return false;
       }
       return true;
@@ -853,17 +848,16 @@ std::shared_ptr<const ColumnarPlan> ViolationEngine::PrepareColumnar(
   return cplan;
 }
 
-Status ViolationEngine::ExecuteColumnarInto(
-    const Plan& plan, const AtomFilters* filters,
-    std::unordered_set<ViolationSet, ViolationSetHash>* dedupe_out,
-    ExecCounters* counters) const {
+Status ViolationEngine::ExecuteColumnarInto(const Plan& plan,
+                                            const AtomFilters* filters,
+                                            ViolationBuffer* buffer,
+                                            ExecCounters* counters) const {
   const BoundConstraint& ic = *plan.ic;
   const ColumnarPlan& cp = *plan.columnar;
   const AtomFilter no_filter;
 
   std::vector<uint64_t> binding(plan.num_classes, 0);
   std::vector<TupleRef> current(plan.steps.size());
-  std::unordered_set<ViolationSet, ViolationSetHash>& dedupe = *dedupe_out;
 
   uint64_t rows_scanned = 0;
   uint64_t assignments_found = 0;
@@ -907,17 +901,8 @@ Status ViolationEngine::ExecuteColumnarInto(
   auto recurse = [&](auto&& self, size_t depth) -> bool {  // false = abort
     if (depth == plan.steps.size()) {
       ++assignments_found;
-      ViolationSet vs;
-      vs.ic_index = ic.ic_index;
-      vs.tuples = current;
-      std::sort(vs.tuples.begin(), vs.tuples.end());
-      vs.tuples.erase(std::unique(vs.tuples.begin(), vs.tuples.end()),
-                      vs.tuples.end());
-      if (dedupe.insert(std::move(vs)).second &&
-          dedupe.size() > options_.max_violation_sets) {
-        status = Status::ResourceExhausted(
-            "violation-set enumeration exceeded max_violation_sets = " +
-            std::to_string(options_.max_violation_sets));
+      if (!buffer->Append(current.data())) {
+        status = CapExceeded(options_.max_violation_sets);
         return false;
       }
       return true;
@@ -1057,10 +1042,10 @@ Status ViolationEngine::ExecuteColumnarInto(
   return status;
 }
 
-Status ViolationEngine::ExecuteShardedInto(
-    const Plan& plan, size_t num_threads,
-    std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
-    ExecCounters* counters) {
+Status ViolationEngine::ExecuteShardedInto(const Plan& plan,
+                                           size_t num_threads,
+                                           ViolationBuffer* buffer,
+                                           ExecCounters* counters) {
   using Clock = std::chrono::steady_clock;
   const BoundConstraint& ic = *plan.ic;
   const uint32_t driving_atom = plan.steps.front().atom_index;
@@ -1068,24 +1053,30 @@ Status ViolationEngine::ExecuteShardedInto(
   // A few shards per worker so an unlucky shard (one hot join key) does not
   // leave the other workers idle. Shard boundaries never influence the
   // output: the shards partition the driving atom's rows, so the merged
-  // dedupe buffer holds exactly the serial scan's violation sets.
+  // run holds exactly the serial scan's violation sets.
   static constexpr size_t kShardsPerThread = 4;
   const auto ranges = ShardRanges(db_.table(driving_rel).size(),
                                   num_threads * kShardsPerThread);
   if (ranges.size() <= 1) {
     const AtomFilters* no_filters = nullptr;
-    return ExecuteInto(plan, no_filters, dedupe, counters);
+    return ExecuteInto(plan, no_filters, buffer, counters);
   }
-  if (pool_ == nullptr || pool_->num_threads() < num_threads) {
-    pool_ = std::make_unique<ThreadPool>(num_threads);
+  ThreadPool* pool = options_.pool;
+  if (pool == nullptr) {
+    if (pool_ == nullptr || pool_->num_threads() < num_threads) {
+      pool_ = std::make_unique<ThreadPool>(num_threads);
+    }
+    pool = pool_.get();
   }
 
-  std::vector<std::unordered_set<ViolationSet, ViolationSetHash>> shard_sets(
-      ranges.size());
+  // Each shard sorts and dedupes its own run inside its task.
+  std::vector<ViolationBuffer> shard_runs(
+      ranges.size(), ViolationBuffer(ic.ic_index, ic.atoms.size(),
+                                     options_.max_violation_sets));
   std::vector<ExecCounters> shard_counters(ranges.size());
   std::vector<Status> shard_status(ranges.size(), Status::OK());
   std::vector<uint64_t> shard_ns(ranges.size(), 0);
-  ParallelFor(pool_.get(), ranges.size(), [&](size_t s) {
+  ParallelFor(pool, ranges.size(), [&](size_t s) {
     const obs::ScopedWorkEvent shard_event("scan.shard");
     const auto start = Clock::now();
     AtomFilters shard_filters(ic.atoms.size());
@@ -1094,27 +1085,25 @@ Status ViolationEngine::ExecuteShardedInto(
     shard_filters[driving_atom].max_row =
         static_cast<uint32_t>(ranges[s].second);
     shard_status[s] =
-        ExecuteInto(plan, &shard_filters, &shard_sets[s], &shard_counters[s]);
+        ExecuteInto(plan, &shard_filters, &shard_runs[s], &shard_counters[s]);
+    if (shard_status[s].ok() && !shard_runs[s].Compact()) {
+      shard_status[s] = CapExceeded(options_.max_violation_sets);
+    }
     shard_ns[s] = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              start)
             .count());
   });
-
-  // Deterministic merge: shard order, with cross-shard dedupe (symmetric
-  // constraints can canonicalise assignments from different shards to the
-  // same tuple set).
-  const auto merge_start = Clock::now();
   for (size_t s = 0; s < ranges.size(); ++s) {
     DBREPAIR_RETURN_IF_ERROR(shard_status[s]);
     counters->MergeFrom(shard_counters[s]);
-    dedupe->merge(shard_sets[s]);
   }
-  if (dedupe->size() > options_.max_violation_sets) {
-    return Status::ResourceExhausted(
-        "violation-set enumeration exceeded max_violation_sets = " +
-        std::to_string(options_.max_violation_sets));
-  }
+
+  // Merge of the sorted runs: symmetric constraints can canonicalise
+  // assignments from different shards to the same tuple set, so equal
+  // records are emitted once.
+  const auto merge_start = Clock::now();
+  *buffer = ViolationBuffer::MergeRuns(&shard_runs);
   const auto merge_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
       Clock::now() - merge_start);
 
@@ -1125,44 +1114,6 @@ Status ViolationEngine::ExecuteShardedInto(
   obs::Histogram* shard_hist = metrics.GetHistogram("scan.shard_ns");
   for (const uint64_t ns : shard_ns) shard_hist->Record(ns);
   return Status::OK();
-}
-
-void ViolationEngine::EmitMinimal(
-    const std::unordered_set<ViolationSet, ViolationSetHash>& dedupe,
-    std::vector<ViolationSet>* out) {
-  // ---- Minimality filter (Definition 2.4). ----
-  // A candidate set is dropped when a proper subset is also a violation set.
-  const size_t first_emitted = out->size();
-  for (const ViolationSet& vs : dedupe) {
-    const size_t k = vs.tuples.size();
-    bool minimal = true;
-    if (k > 1 && k <= 16) {
-      for (uint32_t mask = 1; mask + 1 < (1u << k) && minimal; ++mask) {
-        ViolationSet sub;
-        sub.ic_index = vs.ic_index;
-        for (size_t i = 0; i < k; ++i) {
-          if (mask & (1u << i)) sub.tuples.push_back(vs.tuples[i]);
-        }
-        if (dedupe.count(sub) > 0) minimal = false;
-      }
-    }
-    if (minimal) out->push_back(vs);
-  }
-  // Sorted emission: never let unordered_set iteration order leak into the
-  // output, even before the entry points' final SortViolations pass.
-  std::sort(out->begin() + static_cast<ptrdiff_t>(first_emitted), out->end(),
-            [](const ViolationSet& a, const ViolationSet& b) {
-              if (a.ic_index != b.ic_index) return a.ic_index < b.ic_index;
-              return a.tuples < b.tuples;
-            });
-}
-
-void ViolationEngine::SortViolations(std::vector<ViolationSet>* out) {
-  std::sort(out->begin(), out->end(),
-            [](const ViolationSet& a, const ViolationSet& b) {
-              if (a.ic_index != b.ic_index) return a.ic_index < b.ic_index;
-              return a.tuples < b.tuples;
-            });
 }
 
 Result<std::vector<ViolationSet>> ViolationEngine::FindViolations() {
@@ -1182,16 +1133,18 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolations() {
       }
     }
     PrewarmIndexes(plan);
-    std::unordered_set<ViolationSet, ViolationSetHash> dedupe;
+    ViolationBuffer buffer(ic.ic_index, ic.atoms.size(),
+                           options_.max_violation_sets);
     if (num_threads <= 1 || plan.steps.empty()) {
-      DBREPAIR_RETURN_IF_ERROR(ExecuteInto(plan, nullptr, &dedupe, &counters));
+      DBREPAIR_RETURN_IF_ERROR(ExecuteInto(plan, nullptr, &buffer, &counters));
     } else {
       DBREPAIR_RETURN_IF_ERROR(
-          ExecuteShardedInto(plan, num_threads, &dedupe, &counters));
+          ExecuteShardedInto(plan, num_threads, &buffer, &counters));
     }
-    EmitMinimal(dedupe, &out);
+    if (!buffer.Compact()) return CapExceeded(options_.max_violation_sets);
+    buffer.AppendMinimal(&out);
   }
-  SortViolations(&out);
+  SortViolationSets(&out);
   obs::MetricsRegistry& metrics = obs::CurrentObs().metrics;
   metrics.GetCounter("engine.rows_scanned")->Add(counters.rows_scanned);
   metrics.GetCounter("engine.assignments_found")
@@ -1216,7 +1169,8 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsSince(
   uint64_t columnar_plans = 0;
   uint64_t columnar_fallbacks = 0;
   for (const BoundConstraint& ic : ics_) {
-    std::unordered_set<ViolationSet, ViolationSetHash> dedupe;
+    ViolationBuffer buffer(ic.ic_index, ic.atoms.size(),
+                           options_.max_violation_sets);
     // Delta-join partition by the first atom bound to a new tuple: atoms
     // before the pivot see only old rows, the pivot only new rows, the rest
     // everything. Every assignment with >= 1 new tuple lands in exactly one
@@ -1249,11 +1203,12 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsSince(
       }
       PrewarmIndexes(pivot_plan);
       DBREPAIR_RETURN_IF_ERROR(
-          ExecuteInto(pivot_plan, &filters, &dedupe, &counters));
+          ExecuteInto(pivot_plan, &filters, &buffer, &counters));
     }
-    EmitMinimal(dedupe, &out);
+    if (!buffer.Compact()) return CapExceeded(options_.max_violation_sets);
+    buffer.AppendMinimal(&out);
   }
-  SortViolations(&out);
+  SortViolationSets(&out);
   obs::MetricsRegistry& metrics = obs::CurrentObs().metrics;
   metrics.GetCounter("engine.rows_scanned")->Add(counters.rows_scanned);
   metrics.GetCounter("engine.assignments_found")
@@ -1292,7 +1247,8 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
   uint64_t columnar_plans = 0;
   uint64_t columnar_fallbacks = 0;
   for (const BoundConstraint& ic : ics_) {
-    std::unordered_set<ViolationSet, ViolationSetHash> dedupe;
+    ViolationBuffer buffer(ic.ic_index, ic.atoms.size(),
+                           options_.max_violation_sets);
     // FindViolationsSince's partition with "new" generalised to "dirty":
     // atoms before the pivot bind clean rows only, the pivot binds dirty
     // rows only, later atoms bind anything — every assignment touching >= 1
@@ -1322,11 +1278,12 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
       }
       PrewarmIndexes(pivot_plan);
       DBREPAIR_RETURN_IF_ERROR(
-          ExecuteInto(pivot_plan, &filters, &dedupe, &counters));
+          ExecuteInto(pivot_plan, &filters, &buffer, &counters));
     }
-    EmitMinimal(dedupe, &out);
+    if (!buffer.Compact()) return CapExceeded(options_.max_violation_sets);
+    buffer.AppendMinimal(&out);
   }
-  SortViolations(&out);
+  SortViolationSets(&out);
   obs::MetricsRegistry& metrics = obs::CurrentObs().metrics;
   metrics.GetCounter("engine.rows_scanned")->Add(counters.rows_scanned);
   metrics.GetCounter("engine.assignments_found")

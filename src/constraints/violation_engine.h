@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -22,15 +21,20 @@ namespace dbrepair {
 struct ColumnarPlan;
 
 struct ViolationEngineOptions {
-  /// Safety cap on the number of deduplicated violation sets; exceeded
-  /// enumeration returns ResourceExhausted instead of exhausting memory.
+  /// Safety cap on the number of distinct violation sets of one constraint
+  /// (non-minimal ones included); exceeded enumeration returns
+  /// ResourceExhausted instead of exhausting memory.
   size_t max_violation_sets = 100'000'000;
   /// Worker threads for FindViolations. 1 (the default) is the exact serial
   /// path; 0 means one per hardware thread. With N > 1 each constraint's
-  /// driving-table scan is sharded across workers into per-shard dedupe
-  /// buffers that are merged in shard order, so the output — and every
-  /// downstream violation id — is byte-identical to the serial run.
+  /// driving-table scan is sharded across workers into per-shard sorted
+  /// runs that are merged afterwards, so the output — and every downstream
+  /// violation id — is byte-identical to the serial run.
   size_t num_threads = 1;
+  /// Optional pool for the sharded scan (non-owning; must outlive the
+  /// engine). A repair passes its own pool so every phase shares one set of
+  /// workers; without one the engine starts its own on first use.
+  ThreadPool* pool = nullptr;
   /// Optional columnar view of the same database (non-owning; must match
   /// the Database row for row). When set, FindViolations evaluates each
   /// constraint against raw typed arrays and dictionary codes instead of
@@ -281,45 +285,29 @@ class ViolationEngine {
   const HashIndex* FindIndex(uint32_t relation,
                              const std::vector<uint32_t>& positions) const;
 
-  // Recursive join evaluation; inserts canonical tuple sets into `dedupe`.
-  // const (and PrewarmIndexes-dependent) so shards may run concurrently.
-  // Dispatches to ExecuteColumnarInto when the plan carries columnar state.
-  Status ExecuteInto(
-      const Plan& plan, const AtomFilters* filters,
-      std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
-      ExecCounters* counters) const;
+  // Recursive join evaluation; appends one record per satisfying assignment
+  // to `buffer`. const (and PrewarmIndexes-dependent) so shards may run
+  // concurrently. Dispatches to ExecuteColumnarInto when the plan carries
+  // columnar state.
+  Status ExecuteInto(const Plan& plan, const AtomFilters* filters,
+                     ViolationBuffer* buffer, ExecCounters* counters) const;
 
   // The same join, evaluated over typed column arrays and packed key codes
   // (no Value touched in the loop). Enumerates exactly the row path's
   // assignments — PrepareColumnar only accepts constraints where the typed
   // encodings are provably equivalent to Value comparison.
-  Status ExecuteColumnarInto(
-      const Plan& plan, const AtomFilters* filters,
-      std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
-      ExecCounters* counters) const;
+  Status ExecuteColumnarInto(const Plan& plan, const AtomFilters* filters,
+                             ViolationBuffer* buffer,
+                             ExecCounters* counters) const;
 
-  Status ExecuteRowInto(
-      const Plan& plan, const AtomFilters* filters,
-      std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
-      ExecCounters* counters) const;
+  Status ExecuteRowInto(const Plan& plan, const AtomFilters* filters,
+                        ViolationBuffer* buffer, ExecCounters* counters) const;
 
   // Parallel FindViolations body for one constraint: shards the driving
-  // (first-in-join-order) atom's table scan across `num_threads` workers
-  // and merges the per-shard dedupe buffers in shard order.
-  Status ExecuteShardedInto(
-      const Plan& plan, size_t num_threads,
-      std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
-      ExecCounters* counters);
-
-  // Minimality filter (Definition 2.4): appends the inclusion-minimal sets
-  // of `dedupe` to `out` in sorted (ic, tuples) order, so emission never
-  // depends on hash-iteration order.
-  static void EmitMinimal(
-      const std::unordered_set<ViolationSet, ViolationSetHash>& dedupe,
-      std::vector<ViolationSet>* out);
-
-  // Shared tail of the Find* entry points: sorts `out` deterministically.
-  static void SortViolations(std::vector<ViolationSet>* out);
+  // (first-in-join-order) atom's table scan across `num_threads` workers,
+  // each compacting its own sorted run, and merges the runs into `buffer`.
+  Status ExecuteShardedInto(const Plan& plan, size_t num_threads,
+                            ViolationBuffer* buffer, ExecCounters* counters);
 
   const Database& db_;
   const std::vector<BoundConstraint>& ics_;
@@ -340,8 +328,8 @@ class ViolationEngine {
                      IndexKeyHash>
       code_index_cache_;
   std::unordered_map<uint32_t, TableStats> stats_cache_;
-  // Lazily created when FindViolations runs with > 1 effective threads;
-  // reused across constraints and calls.
+  // Lazily created when FindViolations runs with > 1 effective threads and
+  // no options_.pool; reused across constraints and calls.
   std::unique_ptr<ThreadPool> pool_;
 };
 

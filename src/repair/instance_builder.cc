@@ -87,11 +87,6 @@ struct FixDraft {
   double weight = 0.0;
 };
 
-TupleRef UnpackTuple(uint64_t packed) {
-  return TupleRef{static_cast<uint32_t>(packed >> 32),
-                  static_cast<uint32_t>(packed)};
-}
-
 // One candidate as the linking pass reads it: tuple, then the substitution.
 struct LinkTarget {
   uint64_t tuple_packed = 0;
@@ -313,7 +308,7 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
     if (solved_begin[f] == solved_begin[f + 1]) continue;
     const FixDraft& draft = drafts[f];
     CandidateFix& fix = kept.emplace_back();
-    fix.tuple = UnpackTuple(draft.key.tuple_packed);
+    fix.tuple = TupleRef::FromPacked(draft.key.tuple_packed);
     fix.attribute = draft.key.attribute;
     fix.old_value = draft.old_value;
     fix.new_value = draft.key.value;
@@ -351,6 +346,7 @@ Result<RepairProblem> BuildRepairProblem(
   // ---- Columnar snapshot of the row store (typed scan input). ----
   ViolationEngineOptions engine_options = options.engine;
   engine_options.num_threads = num_threads;
+  engine_options.pool = pool;
   if (options.use_columnar_scan && engine_options.columnar == nullptr) {
     obs::Span snapshot_span(&obs.tracer, "snapshot");
     const auto snapshot_start = std::chrono::steady_clock::now();

@@ -89,9 +89,10 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
 /// impossible for a local IC set, so callers should EnsureLocal first.
 ///
 /// `pool` lets a caller that already owns a thread pool (the repairer's
-/// solve fan-out, a session) share it with the build phases instead of the
-/// builder spinning up a second one; nullptr keeps the old behaviour
-/// (an internal pool when `options.num_threads` > 1).
+/// solve fan-out, a session) share it with every build phase, the
+/// violation scan's engine included, instead of the builder spinning up a
+/// second one; nullptr makes the builder start its own pool when
+/// `options.num_threads` > 1.
 Result<RepairProblem> BuildRepairProblem(
     const Database& db, const std::vector<BoundConstraint>& ics,
     const DistanceFunction& distance, const BuildOptions& options = {},

@@ -49,7 +49,7 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
   const DistanceFunction distance(options.distance);
 
   // One pool serves every parallel phase: the build shards (violation scan,
-  // fix generation, linking) and the per-component solve fan-out.
+  // fix generation, linking), the solve tasks and the verify scan.
   const size_t num_threads = ResolveNumThreads(options.num_threads);
   std::unique_ptr<ThreadPool> pool;
   if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
@@ -68,10 +68,11 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
   // loop then streams contiguous spans.
   const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(problem.instance);
   SetCoverSolution cover;
-  if (options.shard_components && SolverShardsByComponent(options.solver)) {
-    // Solve each conflict component independently and merge the covers on
-    // (pick key, set id) — byte-identical to the monolithic solve (see
-    // component_solve.h) but each task touches one component's arenas.
+  if (options.shard_components && SolverShardsByComponent(options.solver) &&
+      pool != nullptr) {
+    // Solve groups of conflict components as pool tasks and merge the
+    // covers on (pick key, set id) — byte-identical to the monolithic solve
+    // (see component_solve.h), which is what one thread runs directly.
     const ComponentPartition partition = problem.components.Partition();
     DBREPAIR_ASSIGN_OR_RETURN(
         cover,
@@ -95,6 +96,7 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
     obs::Span verify_span(&obs.tracer, "verify");
     ViolationEngineOptions verify_options = build_options.engine;
     verify_options.num_threads = options.num_threads;
+    verify_options.pool = pool.get();
     // Re-snapshot only the relations the repair touched; clean relations
     // keep sharing the build snapshot's column vectors.
     ColumnSnapshot verify_snapshot;

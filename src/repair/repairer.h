@@ -36,9 +36,10 @@ struct RepairOptions {
   /// is byte-identical either way.
   bool use_columnar_scan = true;
   /// Solve each conflict component of the MWSCP instance independently (the
-  /// paper's locality decomposition) and merge the per-component covers on
-  /// (pick key, set id) — one solve task per component on the shared thread
-  /// pool, byte-identical to the monolithic solve at any thread count.
+  /// paper's locality decomposition) and merge the per-task covers on
+  /// (pick key, set id) — components packed into at most 4 solve tasks per
+  /// worker of the shared thread pool, byte-identical to the monolithic
+  /// solve at any thread count. One thread runs the monolithic solve.
   /// Applies to the greedy family; layer/modified-layer/exact always solve
   /// monolithically (their floating-point trajectories are globally
   /// coupled; see component_solve.h). Disable (or `--no-component-shard` on

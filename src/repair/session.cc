@@ -122,6 +122,7 @@ Status RepairSession::Init() {
 
   ViolationEngineOptions engine_options = options_.build.engine;
   engine_options.num_threads = num_threads_;
+  engine_options.pool = pool_.get();
   engine_options.columnar =
       options_.use_columnar_scan && snapshot_.valid() ? &snapshot_ : nullptr;
   engine_ = std::make_unique<ViolationEngine>(db_, bound_, engine_options);

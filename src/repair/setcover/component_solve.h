@@ -32,26 +32,35 @@ bool SolverShardsByComponent(SolverKind kind);
 
 /// Diagnostics of one sharded solve.
 struct ShardedSolveStats {
-  /// Components dispatched to the pool (0 when the call fell back to the
-  /// monolithic path: non-sharding solver or single component).
+  /// Components of the partition solved (0 when the solver does not shard
+  /// by component and the call ran the monolithic solver).
   size_t components = 0;
-  /// Wall time of the slowest per-component solve task, microseconds.
-  uint64_t max_component_us = 0;
+  /// Solve tasks dispatched to the pool: at most kTasksPerWorker per worker,
+  /// each covering a run of whole components. 0 when the call ran the
+  /// monolithic solver (no pool, a one-worker pool, a single component or a
+  /// non-sharding solver).
+  size_t tasks = 0;
+  /// Wall time of the slowest solve task, microseconds.
+  uint64_t max_task_us = 0;
 };
 
-/// Component-sharded solve: extracts one frozen CSR shard per component of
-/// `partition` (local ids are order-preserving, so tie-breaks are
-/// unchanged), dispatches one solve task per component onto `pool` (serial
-/// when nullptr), and k-way merges the per-component covers on
-/// (pick key, global set id) — reproducing the monolithic solver's pick
-/// order, weight summation order, and therefore its exact output at any
-/// thread count. Falls back to SolveSetCover(kind, csr) for non-sharding
-/// solvers and single-component instances.
+/// Upper bound on solve tasks per pool worker: enough slack to even out
+/// unequal components, few enough that per-task setup stays negligible.
+inline constexpr size_t kTasksPerWorker = 4;
+
+/// Component-sharded solve. With no pool, a one-worker pool, a single
+/// component or a non-sharding solver it is exactly SolveSetCover(kind,
+/// csr). Otherwise the components of `partition` are packed, in component
+/// order, into at most kTasksPerWorker × workers groups of about equal set
+/// count; each group is extracted once as a frozen CSR instance (local ids
+/// ascending with global ids, so tie-breaks are unchanged), solved as one
+/// pool task, and the group covers are k-way merged on (pick key, global
+/// set id) — reproducing the monolithic solver's pick order, weight
+/// summation order, and therefore its exact output at any thread count.
 ///
-/// Each component task runs under a "solve.component" work event, so pool
-/// worker lanes show the solve phase in Chrome traces; the per-component
-/// durations feed the solve.component_us / solve.component.max_us
-/// histograms.
+/// Each task runs under a "solve.task" work event, so pool worker lanes
+/// show the solve phase in Chrome traces; the per-task durations feed the
+/// solve.task_us / solve.task.max_us histograms.
 Result<SetCoverSolution> SolveSetCoverSharded(
     SolverKind kind, const CsrSetCoverInstance& csr,
     const ComponentPartition& partition, ThreadPool* pool,

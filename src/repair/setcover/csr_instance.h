@@ -113,14 +113,14 @@ class CsrSetCoverInstance {
   /// links follow from the spans; Validate() checks both directions.)
   Status Mirrors(const SetCoverInstance& source) const;
 
-  /// Extracts one conflict component as a standalone frozen instance:
-  /// `sets`/`elements` are the component's global ids in ascending order
-  /// and `set_local`/`elem_local` the global->local renumberings (both
-  /// order-preserving, see ComponentIndex::Partition). Weights are copied
-  /// bit for bit and both arenas keep their global iteration order, so a
-  /// solver run on the shard performs exactly the monolithic run's
-  /// operations restricted to this component. A straight arena copy — no
-  /// metrics, it runs once per component inside the solve fan-out.
+  /// Extracts whole conflict components as one standalone frozen instance:
+  /// `sets`/`elements` are their global ids in ascending order and
+  /// `set_local`/`elem_local` the global->local renumberings of those ids
+  /// (both order-preserving: local ids ascend with global ids). Weights are
+  /// copied bit for bit and both arenas keep their global iteration order,
+  /// so a solver run on the extract performs exactly the monolithic run's
+  /// operations restricted to these components. A straight arena copy — no
+  /// metrics, it runs inside the solve fan-out.
   CsrSetCoverInstance ExtractComponent(
       const std::vector<uint32_t>& sets, const std::vector<uint32_t>& elements,
       const std::vector<uint32_t>& set_local,

@@ -1,7 +1,6 @@
 #include "sql/views.h"
 
-#include <algorithm>
-#include <unordered_set>
+#include <cstdint>
 
 #include "sql/executor.h"
 
@@ -95,14 +94,15 @@ Result<std::vector<ViolationSet>> FindViolationsViaSql(
                               DenialToSql(db.schema(), ic));
     DBREPAIR_ASSIGN_OR_RETURN(const ResultSet result, Query(db, sql));
 
-    std::unordered_set<ViolationSet, ViolationSetHash> dedupe;
+    // No cap (SIZE_MAX): Append and Compact cannot fail.
+    ViolationBuffer buffer(ic.ic_index, ic.atoms.size(), SIZE_MAX);
+    std::vector<TupleRef> tuples(ic.atoms.size());
     for (const std::vector<Value>& row : result.rows) {
       // Slice the row into per-atom key tuples and look the tuples up.
-      ViolationSet vs;
-      vs.ic_index = ic.ic_index;
       size_t cursor = 0;
-      for (const BoundAtom& atom : ic.atoms) {
-        const Table& table = db.table(atom.relation_index);
+      for (size_t a = 0; a < ic.atoms.size(); ++a) {
+        const uint32_t relation = ic.atoms[a].relation_index;
+        const Table& table = db.table(relation);
         const size_t key_arity = table.schema().key_positions().size();
         std::vector<Value> key(row.begin() + static_cast<long>(cursor),
                                row.begin() +
@@ -110,37 +110,14 @@ Result<std::vector<ViolationSet>> FindViolationsViaSql(
         cursor += key_arity;
         DBREPAIR_ASSIGN_OR_RETURN(const size_t row_index,
                                   table.LookupByKey(key));
-        vs.tuples.push_back(TupleRef{atom.relation_index,
-                                     static_cast<uint32_t>(row_index)});
+        tuples[a] = TupleRef{relation, static_cast<uint32_t>(row_index)};
       }
-      std::sort(vs.tuples.begin(), vs.tuples.end());
-      vs.tuples.erase(std::unique(vs.tuples.begin(), vs.tuples.end()),
-                      vs.tuples.end());
-      dedupe.insert(std::move(vs));
+      buffer.Append(tuples.data());
     }
-
-    // Minimality filter (Definition 2.4), as in the engine.
-    for (const ViolationSet& vs : dedupe) {
-      const size_t k = vs.tuples.size();
-      bool minimal = true;
-      if (k > 1 && k <= 16) {
-        for (uint32_t mask = 1; mask + 1 < (1u << k) && minimal; ++mask) {
-          ViolationSet sub;
-          sub.ic_index = vs.ic_index;
-          for (size_t i = 0; i < k; ++i) {
-            if (mask & (1u << i)) sub.tuples.push_back(vs.tuples[i]);
-          }
-          if (dedupe.count(sub) > 0) minimal = false;
-        }
-      }
-      if (minimal) out.push_back(vs);
-    }
+    buffer.Compact();
+    buffer.AppendMinimal(&out);
   }
-  std::sort(out.begin(), out.end(),
-            [](const ViolationSet& a, const ViolationSet& b) {
-              if (a.ic_index != b.ic_index) return a.ic_index < b.ic_index;
-              return a.tuples < b.tuples;
-            });
+  SortViolationSets(&out);
   return out;
 }
 

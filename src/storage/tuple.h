@@ -51,6 +51,12 @@ struct TupleRef {
   uint64_t Packed() const {
     return (static_cast<uint64_t>(relation) << 32) | row;
   }
+
+  /// Inverse of Packed().
+  static TupleRef FromPacked(uint64_t packed) {
+    return TupleRef{static_cast<uint32_t>(packed >> 32),
+                    static_cast<uint32_t>(packed)};
+  }
 };
 
 struct TupleRefHash {

@@ -2,21 +2,25 @@
 // events into their per-thread lanes while the pipeline thread runs the
 // span tree, and the snapshot-time merge must account for every event
 // exactly once, inside its enclosing phase, with per-phase busy times that
-// agree with a serial tracer run of the same work. Runs under TSan via
+// agree with a serial tracer run of the same work; a threaded repair's
+// phases share one pool's worker lanes. Runs under TSan via
 // tools/check_concurrency.sh (labels: obs, concurrency).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "gen/client_buy.h"
 #include "obs/context.h"
 #include "obs/events.h"
 #include "obs/json.h"
 #include "obs/trace.h"
+#include "repair/api.h"
 
 namespace dbrepair::obs {
 namespace {
@@ -182,6 +186,43 @@ TEST(TraceMergeTest, MergedPhaseTimesMatchSerialTracer) {
   ASSERT_NE(entry, nullptr);
   EXPECT_LE(entry->Find("worker_busy_seconds")->AsDouble(),
             4.0 * parallel_wall + 1e-6);
+}
+
+TEST(TraceMergeTest, OneRepairRunsEveryPhaseOnOnePool) {
+  // A 4-thread repair starts one pool: the violation scan (detect and
+  // verify), fix generation and the solve tasks all run on its 4 workers,
+  // so at most 4 worker lanes carry their events.
+  ClientBuyOptions gen;
+  gen.num_clients = 2000;
+  gen.inconsistency_ratio = 0.3;
+  gen.seed = 5;
+  const auto workload = GenerateClientBuy(gen);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+
+  ObsContext context;
+  ScopedObs scoped(&context);
+  context.events.set_enabled(true);
+  RepairOptions options;
+  options.num_threads = 4;
+  const auto outcome = RepairDatabase(workload->db, workload->ics, options);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_GT(outcome->stats.num_components, 1u);
+
+  const std::set<std::string> phases = {"scan.shard", "fixes.shard",
+                                        "solve.task"};
+  std::set<std::string> seen;
+  std::set<uint32_t> worker_lanes;
+  for (const LaneSnapshot& lane :
+       SnapshotLanes(context.events, context.clock.SecondsSinceEpoch())) {
+    for (const LaneInterval& interval : lane.intervals) {
+      if (phases.count(interval.name) == 0) continue;
+      seen.insert(interval.name);
+      if (lane.worker) worker_lanes.insert(lane.id);
+    }
+  }
+  EXPECT_EQ(seen, phases);
+  EXPECT_GE(worker_lanes.size(), 1u);
+  EXPECT_LE(worker_lanes.size(), 4u);
 }
 
 }  // namespace

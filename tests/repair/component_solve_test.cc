@@ -276,6 +276,81 @@ TEST(ComponentSolveTest, GreedyFamilyMatchesOnLargerTieProneInstances) {
   }
 }
 
+// Many components of skewed sizes — mostly 1 to 6 elements, one giant of
+// 400 — with element and set ids shuffled across components, so packing
+// must cut runs of components of very different weights and the giant
+// fills a task alone.
+SetCoverInstance SkewedBlocks(size_t blocks, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint32_t> label;  // element id -> block
+  for (uint32_t b = 0; b < blocks; ++b) {
+    const size_t size = b == blocks / 3 ? 400 : 1 + rng.Uniform(6);
+    label.insert(label.end(), size, b);
+  }
+  for (size_t i = label.size(); i > 1; --i) {  // Fisher-Yates
+    std::swap(label[i - 1], label[rng.Uniform(i)]);
+  }
+  std::vector<std::vector<uint32_t>> members(blocks);
+  for (uint32_t e = 0; e < label.size(); ++e) members[label[e]].push_back(e);
+
+  std::vector<std::vector<uint32_t>> sets;
+  for (const std::vector<uint32_t>& block : members) {
+    for (size_t s = 0; s < 2 * block.size(); ++s) {
+      std::vector<uint32_t> elems;
+      const size_t size = 1 + rng.Uniform(4);
+      for (size_t i = 0; i < size; ++i) {
+        elems.push_back(block[rng.Uniform(block.size())]);
+      }
+      std::sort(elems.begin(), elems.end());
+      elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
+      sets.push_back(std::move(elems));
+    }
+    sets.push_back(block);  // keeps the block one component
+  }
+  for (size_t i = sets.size(); i > 1; --i) {
+    std::swap(sets[i - 1], sets[rng.Uniform(i)]);
+  }
+  SetCoverInstance instance;
+  instance.num_elements = label.size();
+  for (std::vector<uint32_t>& set : sets) {
+    instance.weights.push_back(1.0 + static_cast<double>(rng.Uniform(8)));
+    instance.sets.push_back(std::move(set));
+  }
+  return instance;
+}
+
+TEST(ComponentSolveTest, PackedTasksMatchMonolithicOnSkewedComponents) {
+  const SetCoverInstance skewed = SkewedBlocks(120, 7);
+  const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(skewed);
+  const ComponentPartition partition =
+      ComponentIndex::Build(skewed).Partition();
+  ASSERT_EQ(partition.num_components(), 120u);  // > 4 x 8 workers
+  for (const SolverKind kind :
+       {SolverKind::kGreedy, SolverKind::kModifiedGreedy,
+        SolverKind::kLazyGreedy}) {
+    auto mono = SolveSetCover(kind, csr);
+    ASSERT_TRUE(mono.ok()) << mono.status().ToString();
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+      ShardedSolveStats stats;
+      auto sharded =
+          SolveSetCoverSharded(kind, csr, partition, pool.get(), &stats);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+      const std::string label = std::string(SolverKindName(kind)) +
+                                " threads=" + std::to_string(threads);
+      ExpectByteIdentical(*sharded, *mono, label);
+      EXPECT_EQ(stats.components, partition.num_components()) << label;
+      if (threads == 1) {
+        EXPECT_EQ(stats.tasks, 0u) << label;  // the monolithic solve
+      } else {
+        EXPECT_GT(stats.tasks, 1u) << label;
+        EXPECT_LE(stats.tasks, kTasksPerWorker * threads) << label;
+      }
+    }
+  }
+}
+
 TEST(ComponentSolveTest, InfeasibleShardFailsLikeMonolithic) {
   SetCoverInstance instance;
   instance.num_elements = 3;

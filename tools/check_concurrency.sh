@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Builds the tree under ThreadSanitizer and runs the concurrency-labelled
-# tests: the thread-pool unit tests, the serial-vs-parallel differential
+# tests: the thread-pool unit tests, the violation-enumeration oracle (the
+# sharded scan's per-shard sorted runs, row and columnar, at 4 threads),
+# the serial-vs-parallel differential
 # harness (with the Algorithms 3-4 candidate-fix oracle at 1 and 4
 # threads), the RepairSession suite (whose concurrent-ApplyBatch misuse
 # case must fail cleanly, not racily), the CSR set-cover instance suite
 # (which replays the per-batch epoch appends at 1 and 4 threads), the
 # component-solve suite (sharded-vs-monolithic byte-identity with the
-# per-component solve fan-out on 2/4/8-worker pools), the
+# packed component-group solve tasks on 2/4/8-worker pools), the
 # randomized trace-merge suite (pool workers appending to per-thread event
 # lanes while snapshots read them), the scenario suite (the generator
 # differential oracle replays every scenario at 1 and 4 threads, plus the
@@ -26,7 +28,8 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDBREPAIR_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target thread_pool_test differential_test obs_test session_test \
+  --target thread_pool_test violation_oracle_test differential_test \
+           obs_test session_test \
            csr_instance_test component_solve_test trace_merge_test \
            fd_test inconsistency_test scenario_metamorphic_test \
            scenario_differential_test protocol_test server_test
