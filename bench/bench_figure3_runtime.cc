@@ -11,6 +11,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <vector>
+
 #include "bench_util.h"
 #include "constraints/violation_engine.h"
 #include "repair/setcover/solvers.h"
@@ -70,6 +75,77 @@ void BM_BuildPipelineThreads(benchmark::State& state) {
       static_cast<double>(prepared.workload->db.TotalTuples());
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["sets"] = static_cast<double>(num_sets);
+}
+
+// Tracing tax on the build phase: interleaved pairs of BuildRepairProblem
+// runs with the per-thread event lanes off and on (the order alternates),
+// back to back in one process, so a drift in host load hits both runs of
+// a pair alike. Pairs are added until the spread of the overhead estimate
+// is below 1% (at least kMinPairs, at most kMaxPairs). Reports, in percent,
+// `overhead_pct` (median of the per-pair differences (on - off) / off) and
+// `spread_pct` (1.57 * IQR / sqrt(pairs), the half-width of the median's
+// ~95% interval); tools/check_obs_overhead.sh gates on them.
+void BM_TraceOverheadPairs(benchmark::State& state) {
+  constexpr size_t kMinPairs = 16;
+  constexpr size_t kMaxPairs = 240;
+  constexpr double kTargetSpreadPct = 1.0;
+  const auto clients = static_cast<size_t>(state.range(0));
+  const PreparedProblem& prepared = ClientBuyProblem(clients, /*seed=*/1);
+  BuildOptions options;
+  options.num_threads = static_cast<size_t>(state.range(1));
+  const DistanceFunction distance(DistanceKind::kL1);
+  obs::EventCollector& events = obs::DefaultObs().events;
+  const bool was_enabled = events.enabled();
+
+  // Median and spread of `diffs` (sorted in place).
+  auto summarise = [](std::vector<double>* diffs) {
+    std::sort(diffs->begin(), diffs->end());
+    auto quantile = [&](double q) {
+      const double pos = q * static_cast<double>(diffs->size() - 1);
+      const auto lo = static_cast<size_t>(pos);
+      const size_t hi = std::min(lo + 1, diffs->size() - 1);
+      return (*diffs)[lo] + (pos - static_cast<double>(lo)) *
+                                ((*diffs)[hi] - (*diffs)[lo]);
+    };
+    const double spread =
+        1.57 * (quantile(0.75) - quantile(0.25)) /
+        std::sqrt(static_cast<double>(diffs->size()));
+    return std::make_pair(quantile(0.5), spread);
+  };
+
+  std::vector<double> diffs;
+  std::pair<double, double> summary{0.0, 0.0};
+  for (auto _ : state) {
+    diffs.clear();
+    for (size_t pair = 0; pair < kMaxPairs; ++pair) {
+      double ms[2] = {0.0, 0.0};  // [off, on]
+      for (int k = 0; k < 2; ++k) {
+        const bool on = (k == 0) == (pair % 2 == 1);
+        events.set_enabled(on);
+        const auto start = std::chrono::steady_clock::now();
+        auto problem = BuildRepairProblem(prepared.workload->db,
+                                          prepared.bound, distance, options);
+        ms[on ? 1 : 0] = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+        if (!problem.ok()) {
+          events.set_enabled(was_enabled);
+          state.SkipWithError(problem.status().ToString().c_str());
+          return;
+        }
+        benchmark::DoNotOptimize(problem->fixes.data());
+      }
+      diffs.push_back(100.0 * (ms[1] - ms[0]) / ms[0]);
+      if (diffs.size() < kMinPairs) continue;
+      std::vector<double> sorted = diffs;
+      summary = summarise(&sorted);
+      if (summary.second < kTargetSpreadPct) break;
+    }
+  }
+  events.set_enabled(was_enabled);
+  state.counters["pairs"] = static_cast<double>(diffs.size());
+  state.counters["overhead_pct"] = summary.first;
+  state.counters["spread_pct"] = summary.second;
 }
 
 // Row-store scan vs columnar scan on the single-threaded build phase: the
@@ -180,6 +256,10 @@ BENCHMARK(BM_BuildPipelineThreads)
     ->Unit(benchmark::kMillisecond)
     ->ArgsProduct({{30000, 100000}, {1, 2, 4, 8}});
 // Scan-path comparison at the Figure-3 100k scale, single thread.
+BENCHMARK(BM_TraceOverheadPairs)
+    ->Unit(benchmark::kMillisecond)
+    ->Args({30000, 4})
+    ->Iterations(1);
 BENCHMARK(BM_BuildPipelineRowScan)
     ->Unit(benchmark::kMillisecond)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_BuildPipelineColumnarScan)

@@ -244,19 +244,27 @@ void ViolationBuffer::AppendMinimal(std::vector<ViolationSet>* out) const {
 }
 
 DegreeInfo ComputeDegrees(const std::vector<ViolationSet>& violations) {
-  std::vector<uint64_t> members;
+  // Count per (relation, row) in one dense array per relation, then read
+  // the counts back in (relation, row) order: the order and values a sort
+  // of every member would give, without the sort. Row ids must index the
+  // instance's tables, so the arrays hold at most one counter per row.
+  std::vector<std::vector<uint32_t>> counts;
   for (const ViolationSet& v : violations) {
-    for (const TupleRef& t : v.tuples) members.push_back(t.Packed());
+    for (const TupleRef& t : v.tuples) {
+      if (t.relation >= counts.size()) counts.resize(t.relation + 1);
+      std::vector<uint32_t>& rows = counts[t.relation];
+      if (t.row >= rows.size()) rows.resize(t.row + 1, 0);
+      ++rows[t.row];
+    }
   }
-  std::sort(members.begin(), members.end());
   DegreeInfo info;
-  for (size_t i = 0; i < members.size();) {
-    size_t end = i + 1;
-    while (end < members.size() && members[end] == members[i]) ++end;
-    const auto degree = static_cast<uint32_t>(end - i);
-    info.per_tuple.emplace_back(members[i], degree);
-    info.max_degree = std::max(info.max_degree, degree);
-    i = end;
+  for (uint32_t r = 0; r < counts.size(); ++r) {
+    for (uint32_t row = 0; row < counts[r].size(); ++row) {
+      const uint32_t degree = counts[r][row];
+      if (degree == 0) continue;
+      info.per_tuple.emplace_back(TupleRef{r, row}.Packed(), degree);
+      info.max_degree = std::max(info.max_degree, degree);
+    }
   }
   return info;
 }

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "obs/context.h"
 
@@ -270,6 +271,10 @@ ViolationEngine::Plan ViolationEngine::BuildPlan(const BoundConstraint& ic,
     long best_joins = -1;
     double best_est = 0.0;
     if (round == 0 && forced_first_atom >= 0) best = forced_first_atom;
+    if (round + 1 == num_atoms) {  // one atom left: nothing to score
+      best = static_cast<int>(std::find(used.begin(), used.end(), false) -
+                              used.begin());
+    }
     for (uint32_t a = 0; best < 0 && a < num_atoms; ++a) {
       if (used[a]) continue;
       long joins = 0;
@@ -377,25 +382,36 @@ ViolationEngine::Plan ViolationEngine::BuildPlan(const BoundConstraint& ic,
   return plan;
 }
 
-const ViolationEngine::HashIndex& ViolationEngine::GetIndex(
-    uint32_t relation, const std::vector<uint32_t>& positions) {
-  const auto key = std::make_pair(relation, positions);
-  const auto it = index_cache_.find(key);
-  if (it != index_cache_.end()) return it->second;
+ViolationEngine::HashIndex ViolationEngine::BuildHashIndex(
+    uint32_t relation, const std::vector<uint32_t>& positions,
+    const std::vector<uint32_t>* rows) const {
   HashIndex index;
   const Table& table = db_.table(relation);
-  index.reserve(table.size());
+  const size_t n = rows != nullptr ? rows->size() : table.size();
+  index.reserve(n);
   std::vector<Value> probe;
   probe.reserve(positions.size());
-  for (uint32_t row = 0; row < table.size(); ++row) {
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t row = rows != nullptr ? (*rows)[i] : i;
     probe.clear();
     for (uint32_t pos : positions) probe.push_back(table.row(row).value(pos));
     index[probe].push_back(row);
   }
-  return index_cache_.emplace(key, std::move(index)).first->second;
+  return index;
 }
 
-void ViolationEngine::CodeIndex::Build(const std::vector<uint64_t>& codes) {
+const ViolationEngine::HashIndex& ViolationEngine::GetIndex(
+    uint32_t relation, const std::vector<uint32_t>& positions) {
+  const auto key = std::make_pair(relation, positions);
+  const auto it = caches_.hash_indexes_.find(key);
+  if (it != caches_.hash_indexes_.end()) return it->second;
+  return caches_.hash_indexes_
+      .emplace(key, BuildHashIndex(relation, positions, nullptr))
+      .first->second;
+}
+
+void ViolationEngine::CodeIndex::Build(const std::vector<uint64_t>& codes,
+                                       const std::vector<uint32_t>* rows_of) {
   const auto n = static_cast<uint32_t>(codes.size());
   size_t capacity = 16;
   while (capacity < size_t{n} * 2) capacity <<= 1;  // load factor <= 0.5
@@ -429,7 +445,7 @@ void ViolationEngine::CodeIndex::Build(const std::vector<uint64_t>& codes) {
     for (uint64_t i = Slot(key, mask);; i = (i + 1) & mask) {
       Group& g = groups[i];
       if (g.key == key && g.count != 0) {
-        rows[g.offset++] = row;
+        rows[g.offset++] = rows_of != nullptr ? (*rows_of)[row] : row;
         break;
       }
     }
@@ -437,42 +453,56 @@ void ViolationEngine::CodeIndex::Build(const std::vector<uint64_t>& codes) {
   for (Group& g : groups) g.offset -= g.count;
 }
 
-const ViolationEngine::CodeIndex& ViolationEngine::GetCodeIndex(
-    uint32_t relation, const std::vector<uint32_t>& positions) {
-  const auto key = std::make_pair(relation, positions);
-  const auto it = code_index_cache_.find(key);
-  if (it != code_index_cache_.end()) return it->second;
+ViolationEngine::CodeIndex ViolationEngine::BuildCodeIndex(
+    uint32_t relation, const std::vector<uint32_t>& positions,
+    const std::vector<uint32_t>* rows) const {
   CodeIndex index;
   index.exact = positions.size() == 1;
   const RelationColumns& rel = options_.columnar->relation(relation);
-  const auto n = static_cast<uint32_t>(rel.row_count);
+  const auto n = static_cast<uint32_t>(rows != nullptr ? rows->size()
+                                                       : rel.row_count);
   // Pack each row's key code once; both counting passes reuse the array.
   std::vector<uint64_t> codes(n);
-  if (index.exact) {
-    const ColumnData& col = rel.columns[positions[0]];
-    for (uint32_t row = 0; row < n; ++row) codes[row] = col.KeyCode(row);
-  } else {
-    for (uint32_t row = 0; row < n; ++row) {
-      uint64_t code = kKeySeed;
-      for (const uint32_t pos : positions) {
-        code = CombineKeyCodes(code, rel.columns[pos].KeyCode(row));
-      }
-      codes[row] = code;
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t row = rows != nullptr ? (*rows)[i] : i;
+    if (index.exact) {
+      codes[i] = rel.column(positions[0]).KeyCode(row);
+      continue;
     }
+    uint64_t code = kKeySeed;
+    for (const uint32_t pos : positions) {
+      code = CombineKeyCodes(code, rel.column(pos).KeyCode(row));
+    }
+    codes[i] = code;
   }
-  index.Build(codes);
-  return code_index_cache_.emplace(key, std::move(index)).first->second;
+  index.Build(codes, rows);
+  return index;
+}
+
+const ViolationEngine::CodeIndex& ViolationEngine::GetCodeIndex(
+    uint32_t relation, const std::vector<uint32_t>& positions) {
+  const auto key = std::make_pair(relation, positions);
+  const auto it = caches_.code_indexes_.find(key);
+  if (it != caches_.code_indexes_.end()) return it->second;
+  return caches_.code_indexes_
+      .emplace(key, BuildCodeIndex(relation, positions, nullptr))
+      .first->second;
 }
 
 const ViolationEngine::CodeIndex* ViolationEngine::FindCodeIndex(
     uint32_t relation, const std::vector<uint32_t>& positions) const {
-  const auto it = code_index_cache_.find(std::make_pair(relation, positions));
-  return it == code_index_cache_.end() ? nullptr : &it->second;
+  const auto it =
+      caches_.code_indexes_.find(std::make_pair(relation, positions));
+  return it == caches_.code_indexes_.end() ? nullptr : &it->second;
 }
 
-void ViolationEngine::PrewarmIndexes(const Plan& plan) {
+void ViolationEngine::PrewarmIndexes(const Plan& plan,
+                                     const AtomFilters* filters) {
   for (const AtomStep& step : plan.steps) {
     if (step.index_positions.empty()) continue;
+    if (filters != nullptr && (*filters)[step.atom_index].HasIndex()) {
+      continue;
+    }
     const uint32_t relation = plan.ic->atoms[step.atom_index].relation_index;
     if (plan.columnar != nullptr) {
       GetCodeIndex(relation, step.index_positions);
@@ -484,13 +514,14 @@ void ViolationEngine::PrewarmIndexes(const Plan& plan) {
 
 const ViolationEngine::HashIndex* ViolationEngine::FindIndex(
     uint32_t relation, const std::vector<uint32_t>& positions) const {
-  const auto it = index_cache_.find(std::make_pair(relation, positions));
-  return it == index_cache_.end() ? nullptr : &it->second;
+  const auto it =
+      caches_.hash_indexes_.find(std::make_pair(relation, positions));
+  return it == caches_.hash_indexes_.end() ? nullptr : &it->second;
 }
 
 const TableStats& ViolationEngine::GetStats(uint32_t relation) {
-  const auto it = stats_cache_.find(relation);
-  if (it != stats_cache_.end()) return it->second;
+  const auto it = caches_.stats_.find(relation);
+  if (it != caches_.stats_.end()) return it->second;
   // With a fresh columnar snapshot of an all-clean relation, derive the
   // planner statistics from the typed arrays (sampled distinct/histograms,
   // see ComputeColumnStats) instead of the full Value scan. Estimates may
@@ -504,13 +535,16 @@ const TableStats& ViolationEngine::GetStats(uint32_t relation) {
                        rel.columns.size() == table.schema().arity();
     const bool all_clean =
         fresh && std::all_of(rel.columns.begin(), rel.columns.end(),
-                             [](const ColumnData& c) { return c.clean(); });
+                             [](const std::shared_ptr<const ColumnData>& c) {
+                               return c->clean();
+                             });
     if (all_clean) {
-      return stats_cache_.emplace(relation, ComputeColumnStats(rel))
+      return caches_.stats_.emplace(relation, ComputeColumnStats(rel))
           .first->second;
     }
   }
-  return stats_cache_.emplace(relation, ComputeTableStats(db_.table(relation)))
+  return caches_.stats_
+      .emplace(relation, ComputeTableStats(db_.table(relation)))
       .first->second;
 }
 
@@ -542,6 +576,23 @@ Status ViolationEngine::ExecuteRowInto(const Plan& plan,
 
   // Iterative-recursive evaluation via an explicit lambda.
   Status status = Status::OK();
+  // Each step's join index, resolved once: the atom filter's own index
+  // when it carries one, else the cache's. Read-only (PrewarmIndexes built
+  // them), so concurrent shards of one plan never mutate the cache.
+  std::vector<const HashIndex*> step_indexes(plan.steps.size(), nullptr);
+  for (size_t d = 0; d < plan.steps.size(); ++d) {
+    const AtomStep& step = plan.steps[d];
+    if (step.index_positions.empty()) continue;
+    const AtomFilter* filter =
+        filters != nullptr ? &(*filters)[step.atom_index] : nullptr;
+    step_indexes[d] =
+        filter != nullptr && filter->hash_index != nullptr
+            ? filter->hash_index
+            : FindIndex(ic.atoms[step.atom_index].relation_index,
+                        step.index_positions);
+    assert(step_indexes[d] != nullptr && "ExecuteInto requires PrewarmIndexes");
+  }
+
   auto recurse = [&](auto&& self, size_t depth) -> bool {  // false = abort
     if (depth == plan.steps.size()) {
       ++assignments_found;
@@ -566,11 +617,7 @@ Status ViolationEngine::ExecuteRowInto(const Plan& plan,
       std::vector<Value> key;
       key.reserve(step.index_classes.size());
       for (int32_t cls : step.index_classes) key.push_back(*binding[cls]);
-      // Read-only lookup (PrewarmIndexes built it), so concurrent shards of
-      // one plan never mutate the cache.
-      const HashIndex* index =
-          FindIndex(atom.relation_index, step.index_positions);
-      assert(index != nullptr && "ExecuteInto requires PrewarmIndexes");
+      const HashIndex* index = step_indexes[depth];
       const auto it = index->find(key);
       if (it == index->end()) return true;  // no matching rows
       rows = &it->second;
@@ -587,8 +634,11 @@ Status ViolationEngine::ExecuteRowInto(const Plan& plan,
                                            std::nullopt, false);
       rows = &scan_rows;
     } else if (filter.exact_rows != nullptr) {
-      // The filter precomputed exactly the admissible rows (ascending).
-      rows = filter.exact_rows;
+      // The filter precomputed exactly the admissible rows (ascending);
+      // walk the part inside its [min, max) window.
+      const auto [first, last] = filter.ExactWindow();
+      scan_rows.assign(first, last);
+      rows = &scan_rows;
     } else {
       // Full scan: walk only the filter's [min, max) window.
       const uint32_t lo = filter.min_row;
@@ -672,14 +722,14 @@ std::shared_ptr<const ColumnarPlan> ViolationEngine::PrepareColumnar(
     const RelationColumns& rel =
         snap->relation(ic.atoms[step.atom_index].relation_index);
     for (const auto& [pos, cls] : step.bind_positions) {
-      sources[cls].push_back(&rel.columns[pos]);
+      sources[cls].push_back(&rel.column(pos));
     }
     for (const auto& [pos, cls] : step.join_positions) {
-      sources[cls].push_back(&rel.columns[pos]);
+      sources[cls].push_back(&rel.column(pos));
     }
     for (size_t i = 0; i < step.index_positions.size(); ++i) {
       sources[step.index_classes[i]].push_back(
-          &rel.columns[step.index_positions[i]]);
+          &rel.column(step.index_positions[i]));
     }
   }
   std::vector<bool> compared(plan.num_classes, false);
@@ -787,7 +837,7 @@ std::shared_ptr<const ColumnarPlan> ViolationEngine::PrepareColumnar(
     cstep.rel = &rel;
     using Mode = ColumnarPlan::ConstCheck::Mode;
     for (const uint32_t pos : step.const_positions) {
-      const ColumnData& col = rel.columns[pos];
+      const ColumnData& col = rel.column(pos);
       // NULLs encode as 0 / code 0 and would collide with real values.
       if (!col.clean()) return nullptr;
       const Value& c = atom.constants[pos];
@@ -833,16 +883,16 @@ std::shared_ptr<const ColumnarPlan> ViolationEngine::PrepareColumnar(
       cstep.consts.push_back(cc);
     }
     for (const auto& [pos, cls] : step.join_positions) {
-      cstep.joins.push_back({ColumnarPlan::ColRef::Of(rel.columns[pos]), cls});
+      cstep.joins.push_back({ColumnarPlan::ColRef::Of(rel.column(pos)), cls});
     }
     for (const auto& [pos, cls] : step.bind_positions) {
       if (compared[cls]) {
         cstep.binds.push_back(
-            {ColumnarPlan::ColRef::Of(rel.columns[pos]), cls});
+            {ColumnarPlan::ColRef::Of(rel.column(pos)), cls});
       }
     }
     for (const uint32_t pos : step.index_positions) {
-      cstep.index_cols.push_back(ColumnarPlan::ColRef::Of(rel.columns[pos]));
+      cstep.index_cols.push_back(ColumnarPlan::ColRef::Of(rel.column(pos)));
     }
   }
   return cplan;
@@ -898,6 +948,22 @@ Status ViolationEngine::ExecuteColumnarInto(const Plan& plan,
   };
 
   Status status = Status::OK();
+  // Each step's join index, resolved once (see ExecuteRowInto).
+  std::vector<const CodeIndex*> step_indexes(plan.steps.size(), nullptr);
+  for (size_t d = 0; d < plan.steps.size(); ++d) {
+    const AtomStep& step = plan.steps[d];
+    if (step.index_positions.empty()) continue;
+    const AtomFilter* filter =
+        filters != nullptr ? &(*filters)[step.atom_index] : nullptr;
+    step_indexes[d] =
+        filter != nullptr && filter->code_index != nullptr
+            ? filter->code_index
+            : FindCodeIndex(ic.atoms[step.atom_index].relation_index,
+                            step.index_positions);
+    assert(step_indexes[d] != nullptr &&
+           "ExecuteColumnarInto requires PrewarmIndexes");
+  }
+
   auto recurse = [&](auto&& self, size_t depth) -> bool {  // false = abort
     if (depth == plan.steps.size()) {
       ++assignments_found;
@@ -928,10 +994,7 @@ Status ViolationEngine::ExecuteColumnarInto(const Plan& plan,
           key = CombineKeyCodes(key, binding[cls]);
         }
       }
-      const CodeIndex* index =
-          FindCodeIndex(atom.relation_index, step.index_positions);
-      assert(index != nullptr &&
-             "ExecuteColumnarInto requires PrewarmIndexes");
+      const CodeIndex* index = step_indexes[depth];
       std::tie(cand, cand_count) = index->Find(key);
       if (cand == nullptr) return true;  // no matching rows
       have_candidates = true;
@@ -1014,9 +1077,11 @@ Status ViolationEngine::ExecuteColumnarInto(const Plan& plan,
         if (!scan_row(row)) return false;
       }
     } else if (filter.exact_rows != nullptr) {
-      // The filter precomputed exactly the admissible rows (ascending).
-      for (const uint32_t row : *filter.exact_rows) {
-        if (!scan_row(row)) return false;
+      // The filter precomputed exactly the admissible rows (ascending);
+      // walk the part inside its [min, max) window.
+      const auto [first, last] = filter.ExactWindow();
+      for (const uint32_t* row = first; row != last; ++row) {
+        if (!scan_row(*row)) return false;
       }
     } else {
       const uint32_t hi = std::min<uint32_t>(
@@ -1044,6 +1109,7 @@ Status ViolationEngine::ExecuteColumnarInto(const Plan& plan,
 
 Status ViolationEngine::ExecuteShardedInto(const Plan& plan,
                                            size_t num_threads,
+                                           const AtomFilters* filters,
                                            ViolationBuffer* buffer,
                                            ExecCounters* counters) {
   using Clock = std::chrono::steady_clock;
@@ -1058,8 +1124,7 @@ Status ViolationEngine::ExecuteShardedInto(const Plan& plan,
   const auto ranges = ShardRanges(db_.table(driving_rel).size(),
                                   num_threads * kShardsPerThread);
   if (ranges.size() <= 1) {
-    const AtomFilters* no_filters = nullptr;
-    return ExecuteInto(plan, no_filters, buffer, counters);
+    return ExecuteInto(plan, filters, buffer, counters);
   }
   ThreadPool* pool = options_.pool;
   if (pool == nullptr) {
@@ -1079,7 +1144,8 @@ Status ViolationEngine::ExecuteShardedInto(const Plan& plan,
   ParallelFor(pool, ranges.size(), [&](size_t s) {
     const obs::ScopedWorkEvent shard_event("scan.shard");
     const auto start = Clock::now();
-    AtomFilters shard_filters(ic.atoms.size());
+    AtomFilters shard_filters =
+        filters != nullptr ? *filters : AtomFilters(ic.atoms.size());
     shard_filters[driving_atom].min_row =
         static_cast<uint32_t>(ranges[s].first);
     shard_filters[driving_atom].max_row =
@@ -1102,7 +1168,11 @@ Status ViolationEngine::ExecuteShardedInto(const Plan& plan,
   // Merge of the sorted runs: symmetric constraints can canonicalise
   // assignments from different shards to the same tuple set, so equal
   // records are emitted once.
+  // Records already in `buffer` (earlier pivots of a touching scan) are one
+  // more run.
   const auto merge_start = Clock::now();
+  if (!buffer->Compact()) return CapExceeded(options_.max_violation_sets);
+  shard_runs.push_back(std::move(*buffer));
   *buffer = ViolationBuffer::MergeRuns(&shard_runs);
   const auto merge_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
       Clock::now() - merge_start);
@@ -1138,8 +1208,8 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolations() {
     if (num_threads <= 1 || plan.steps.empty()) {
       DBREPAIR_RETURN_IF_ERROR(ExecuteInto(plan, nullptr, &buffer, &counters));
     } else {
-      DBREPAIR_RETURN_IF_ERROR(
-          ExecuteShardedInto(plan, num_threads, &buffer, &counters));
+      DBREPAIR_RETURN_IF_ERROR(ExecuteShardedInto(plan, num_threads, nullptr,
+                                                  &buffer, &counters));
     }
     if (!buffer.Compact()) return CapExceeded(options_.max_violation_sets);
     buffer.AppendMinimal(&out);
@@ -1220,6 +1290,48 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsSince(
   return out;
 }
 
+ViolationEngine::Plan ViolationEngine::PlanTouching(const BoundConstraint& ic,
+                                                    size_t pivot,
+                                                    size_t dirty_rows) {
+  // Estimated rows touched before the joins run: the driving scan plus
+  // two passes (CodeIndex::Build's) per row of every index to build; the
+  // pivot's own index covers only its dirty rows.
+  const auto cost = [&](const Plan& plan) {
+    const uint32_t first = plan.steps.front().atom_index;
+    size_t rows = first == pivot
+                      ? dirty_rows
+                      : db_.table(ic.atoms[first].relation_index).size();
+    for (const AtomStep& step : plan.steps) {
+      if (step.index_positions.empty()) continue;
+      if (step.atom_index == pivot) {
+        rows += 2 * dirty_rows;
+        continue;
+      }
+      const uint32_t relation = ic.atoms[step.atom_index].relation_index;
+      const bool cached =
+          plan.columnar != nullptr
+              ? FindCodeIndex(relation, step.index_positions) != nullptr
+              : FindIndex(relation, step.index_positions) != nullptr;
+      if (!cached) rows += 2 * db_.table(relation).size();
+    }
+    return rows;
+  };
+  Plan best = BuildPlan(ic, static_cast<int>(pivot));
+  best.columnar = PrepareColumnar(best);
+  size_t best_cost = cost(best);
+  for (size_t a = 0; a < ic.atoms.size() && best_cost > dirty_rows; ++a) {
+    if (a == pivot) continue;
+    Plan plan = BuildPlan(ic, static_cast<int>(a));
+    plan.columnar = PrepareColumnar(plan);
+    const size_t plan_cost = cost(plan);
+    if (plan_cost < best_cost) {
+      best = std::move(plan);
+      best_cost = plan_cost;
+    }
+  }
+  return best;
+}
+
 Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
     const std::vector<std::vector<uint8_t>>& dirty_rows) {
   if (dirty_rows.size() != db_.relation_count()) {
@@ -1242,6 +1354,7 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
     }
   }
 
+  const size_t num_threads = ResolveNumThreads(options_.num_threads);
   std::vector<ViolationSet> out;
   ExecCounters counters;
   uint64_t columnar_plans = 0;
@@ -1267,8 +1380,24 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
           filters[a].exact_rows = &dirty_lists[rel];  // dirty rows only
         }
       }
-      Plan pivot_plan = BuildPlan(ic, static_cast<int>(pivot));
-      pivot_plan.columnar = PrepareColumnar(pivot_plan);
+      const Plan pivot_plan =
+          PlanTouching(ic, pivot, dirty_lists[pivot_rel].size());
+      // Probed rather than driving, the pivot joins through an index over
+      // its dirty rows alone: small, and never cached.
+      CodeIndex dirty_code_index;
+      HashIndex dirty_hash_index;
+      for (const AtomStep& step : pivot_plan.steps) {
+        if (step.atom_index != pivot || step.index_positions.empty()) continue;
+        if (pivot_plan.columnar != nullptr) {
+          dirty_code_index = BuildCodeIndex(pivot_rel, step.index_positions,
+                                            &dirty_lists[pivot_rel]);
+          filters[pivot].code_index = &dirty_code_index;
+        } else {
+          dirty_hash_index = BuildHashIndex(pivot_rel, step.index_positions,
+                                            &dirty_lists[pivot_rel]);
+          filters[pivot].hash_index = &dirty_hash_index;
+        }
+      }
       if (options_.columnar != nullptr) {
         if (pivot_plan.columnar != nullptr) {
           ++columnar_plans;
@@ -1276,9 +1405,16 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
           ++columnar_fallbacks;
         }
       }
-      PrewarmIndexes(pivot_plan);
-      DBREPAIR_RETURN_IF_ERROR(
-          ExecuteInto(pivot_plan, &filters, &buffer, &counters));
+      PrewarmIndexes(pivot_plan, &filters);
+      if (num_threads > 1) {
+        // Shards split the driving atom's rows (the pivot's dirty-row list
+        // or another atom's table) by row window.
+        DBREPAIR_RETURN_IF_ERROR(ExecuteShardedInto(
+            pivot_plan, num_threads, &filters, &buffer, &counters));
+      } else {
+        DBREPAIR_RETURN_IF_ERROR(
+            ExecuteInto(pivot_plan, &filters, &buffer, &counters));
+      }
     }
     if (!buffer.Compact()) return CapExceeded(options_.max_violation_sets);
     buffer.AppendMinimal(&out);
@@ -1298,16 +1434,37 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
 void ViolationEngine::InvalidateRelations(
     const std::vector<uint32_t>& relations) {
   for (const uint32_t rel : relations) {
-    stats_cache_.erase(rel);
-    for (auto it = index_cache_.begin(); it != index_cache_.end();) {
-      it = it->first.first == rel ? index_cache_.erase(it) : std::next(it);
-    }
-    for (auto it = code_index_cache_.begin();
-         it != code_index_cache_.end();) {
-      it = it->first.first == rel ? code_index_cache_.erase(it)
-                                  : std::next(it);
-    }
+    caches_.stats_.erase(rel);
+    std::erase_if(caches_.hash_indexes_, [rel](const auto& entry) {
+      return entry.first.first == rel;
+    });
+    std::erase_if(caches_.code_indexes_, [rel](const auto& entry) {
+      return entry.first.first == rel;
+    });
   }
+}
+
+void ViolationEngine::IndexCache::DropColumns(
+    uint32_t relation, const std::vector<uint32_t>& attributes) {
+  const auto stale = [&](const auto& entry) {
+    const auto& [rel, positions] = entry.first;
+    return rel == relation &&
+           std::any_of(positions.begin(), positions.end(), [&](uint32_t pos) {
+             return std::find(attributes.begin(), attributes.end(), pos) !=
+                    attributes.end();
+           });
+  };
+  std::erase_if(hash_indexes_, stale);
+  std::erase_if(code_indexes_, stale);
+  stats_.erase(relation);
+}
+
+ViolationEngine::IndexCache ViolationEngine::TakeIndexCache() {
+  return std::exchange(caches_, IndexCache{});
+}
+
+void ViolationEngine::AdoptIndexCache(IndexCache cache) {
+  caches_ = std::move(cache);
 }
 
 Result<bool> ViolationEngine::Satisfies(

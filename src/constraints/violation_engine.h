@@ -1,6 +1,7 @@
 #ifndef DBREPAIR_CONSTRAINTS_VIOLATION_ENGINE_H_
 #define DBREPAIR_CONSTRAINTS_VIOLATION_ENGINE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -203,8 +204,10 @@ class ViolationEngine {
       return h & mask;
     }
 
-    // Two-pass counting build from one key code per row.
-    void Build(const std::vector<uint64_t>& codes);
+    // Two-pass counting build from one key code per row: row i's code is
+    // codes[i], or, with `rows`, row (*rows)[i]'s (ascending rows).
+    void Build(const std::vector<uint64_t>& codes,
+               const std::vector<uint32_t>* rows = nullptr);
 
     // Candidate rows for `key`: (first, count), or (nullptr, 0).
     std::pair<const uint32_t*, uint32_t> Find(uint64_t key) const {
@@ -217,6 +220,55 @@ class ViolationEngine {
     }
   };
 
+  struct IndexKeyHash {
+    size_t operator()(const std::pair<uint32_t, std::vector<uint32_t>>& k)
+        const {
+      size_t h = k.first * 0x9e3779b97f4a7c15ULL;
+      for (uint32_t p : k.second) h = h * 31 + p;
+      return h;
+    }
+  };
+
+ public:
+  /// An engine's lazily built caches: the join indexes (row HashIndex and
+  /// columnar CodeIndex, each keyed by (relation, key positions)) and the
+  /// per-relation planner statistics. TakeIndexCache / AdoptIndexCache move
+  /// them to a second engine over an instance whose rows differ only in
+  /// known cells, so it does not rebuild what still holds: the repair
+  /// pipeline hands the violation scan's caches to its verify scan after
+  /// DropColumns of every updated attribute. A code index stays valid only
+  /// under a snapshot that shares the source snapshot's dictionary and the
+  /// indexed columns (ColumnSnapshot::Patch keeps both).
+  class IndexCache {
+   public:
+    /// Drops every join index of `relation` whose key positions include
+    /// one of `attributes`, and the relation's planner statistics. Indexes
+    /// on the relation's other columns stay.
+    void DropColumns(uint32_t relation,
+                     const std::vector<uint32_t>& attributes);
+
+    /// Number of cached join indexes, row and columnar.
+    size_t size() const { return hash_indexes_.size() + code_indexes_.size(); }
+
+   private:
+    friend class ViolationEngine;
+    std::unordered_map<std::pair<uint32_t, std::vector<uint32_t>>, HashIndex,
+                       IndexKeyHash>
+        hash_indexes_;
+    std::unordered_map<std::pair<uint32_t, std::vector<uint32_t>>, CodeIndex,
+                       IndexKeyHash>
+        code_indexes_;
+    std::unordered_map<uint32_t, TableStats> stats_;
+  };
+
+  /// Moves the caches out; the engine keeps working and rebuilds lazily.
+  IndexCache TakeIndexCache();
+
+  /// Replaces the engine's caches with `cache`, which must describe this
+  /// engine's instance (see IndexCache).
+  void AdoptIndexCache(IndexCache cache);
+
+ private:
   // `forced_first_atom` >= 0 pins that atom to the front of the join
   // order (used by the delta-join pivots so the batch scan leads).
   Plan BuildPlan(const BoundConstraint& ic, int forced_first_atom = -1);
@@ -224,12 +276,30 @@ class ViolationEngine {
                             const std::vector<uint32_t>& positions);
   const TableStats& GetStats(uint32_t relation);
 
+  // FindViolationsTouching's plan for `pivot`, whose relation has
+  // `dirty_rows` dirty rows. Driving the join from the pivot walks only
+  // those rows, but its probes may need whole-table join indexes the cache
+  // lacks. Driving from another atom scans that atom's table, and the pivot
+  // is then probed through an index over its dirty rows alone. Picks the
+  // cheaper estimate (the pivot on a tie); the atom filters keep the
+  // partition exact in any join order.
+  Plan PlanTouching(const BoundConstraint& ic, size_t pivot,
+                    size_t dirty_rows);
+
   // Columnar eligibility + preparation: nullptr when options_.columnar is
   // unset or cannot reproduce the row path's semantics for this constraint
   // exactly (see ViolationEngineOptions::columnar).
   std::shared_ptr<const ColumnarPlan> PrepareColumnar(const Plan& plan) const;
   const CodeIndex& GetCodeIndex(uint32_t relation,
                                 const std::vector<uint32_t>& positions);
+  // Uncached builds over every row of `relation`, or over `rows` only
+  // (ascending) when given.
+  HashIndex BuildHashIndex(uint32_t relation,
+                           const std::vector<uint32_t>& positions,
+                           const std::vector<uint32_t>* rows) const;
+  CodeIndex BuildCodeIndex(uint32_t relation,
+                           const std::vector<uint32_t>& positions,
+                           const std::vector<uint32_t>* rows) const;
   const CodeIndex* FindCodeIndex(uint32_t relation,
                                  const std::vector<uint32_t>& positions) const;
 
@@ -247,14 +317,30 @@ class ViolationEngine {
     const std::vector<uint8_t>* member = nullptr;
     bool exclude = false;
     // When set, a full scan at this atom enumerates exactly these rows
-    // (ascending) instead of the whole table. Candidates from hash/range
-    // indexes ignore it and rely on Admits.
+    // (ascending, clipped to the window) instead of the whole table.
+    // Candidates from hash/range indexes ignore it and rely on Admits.
     const std::vector<uint32_t>* exact_rows = nullptr;
+    // When set, join probes at this atom read this index, built over
+    // exactly the rows the filter admits, instead of the cached
+    // whole-table one (`code_index` on the columnar path, `hash_index` on
+    // the row path).
+    const CodeIndex* code_index = nullptr;
+    const HashIndex* hash_index = nullptr;
 
+    bool HasIndex() const {
+      return code_index != nullptr || hash_index != nullptr;
+    }
     bool Admits(uint32_t row) const {
       if (row < min_row || row >= max_row) return false;
       if (member != nullptr && ((*member)[row] != 0) == exclude) return false;
       return true;
+    }
+    // The part of `exact_rows` inside [min_row, max_row), as pointers.
+    std::pair<const uint32_t*, const uint32_t*> ExactWindow() const {
+      const uint32_t* begin = exact_rows->data();
+      const uint32_t* end = begin + exact_rows->size();
+      return {std::lower_bound(begin, end, min_row),
+              std::lower_bound(begin, end, max_row)};
     }
     bool Unrestricted() const {
       return min_row == 0 && max_row == UINT32_MAX && member == nullptr;
@@ -276,10 +362,11 @@ class ViolationEngine {
     }
   };
 
-  // Builds every hash index the plan's steps will probe. Must be called
-  // before ExecuteInto, whose index lookups are read-only — which is what
-  // makes concurrent shard execution of one plan data-race free.
-  void PrewarmIndexes(const Plan& plan);
+  // Builds every hash index the plan's steps will probe, except those an
+  // atom filter supplies. Must be called before ExecuteInto, whose index
+  // lookups are read-only — which is what makes concurrent shard execution
+  // of one plan data-race free.
+  void PrewarmIndexes(const Plan& plan, const AtomFilters* filters = nullptr);
 
   // Read-only cache lookup; nullptr when the index was never built.
   const HashIndex* FindIndex(uint32_t relation,
@@ -303,31 +390,20 @@ class ViolationEngine {
   Status ExecuteRowInto(const Plan& plan, const AtomFilters* filters,
                         ViolationBuffer* buffer, ExecCounters* counters) const;
 
-  // Parallel FindViolations body for one constraint: shards the driving
-  // (first-in-join-order) atom's table scan across `num_threads` workers,
-  // each compacting its own sorted run, and merges the runs into `buffer`.
+  // Parallel scan body for one plan: shards the driving (first-in-join-
+  // order) atom's table scan across `num_threads` workers, each compacting
+  // its own sorted run, and merges the runs with the records already in
+  // `buffer`. `filters` (nullptr = none) apply to every shard, the row
+  // window of the driving atom aside.
   Status ExecuteShardedInto(const Plan& plan, size_t num_threads,
+                            const AtomFilters* filters,
                             ViolationBuffer* buffer, ExecCounters* counters);
 
   const Database& db_;
   const std::vector<BoundConstraint>& ics_;
   ViolationEngineOptions options_;
 
-  struct IndexKeyHash {
-    size_t operator()(const std::pair<uint32_t, std::vector<uint32_t>>& k)
-        const {
-      size_t h = k.first * 0x9e3779b97f4a7c15ULL;
-      for (uint32_t p : k.second) h = h * 31 + p;
-      return h;
-    }
-  };
-  std::unordered_map<std::pair<uint32_t, std::vector<uint32_t>>, HashIndex,
-                     IndexKeyHash>
-      index_cache_;
-  std::unordered_map<std::pair<uint32_t, std::vector<uint32_t>>, CodeIndex,
-                     IndexKeyHash>
-      code_index_cache_;
-  std::unordered_map<uint32_t, TableStats> stats_cache_;
+  IndexCache caches_;
   // Lazily created when FindViolations runs with > 1 effective threads and
   // no options_.pool; reused across constraints and calls.
   std::unique_ptr<ThreadPool> pool_;

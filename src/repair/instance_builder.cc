@@ -361,6 +361,7 @@ Result<RepairProblem> BuildRepairProblem(
   obs::Span violations_span(&obs.tracer, "violations");
   ViolationEngine engine(db, ics, engine_options);
   DBREPAIR_ASSIGN_OR_RETURN(problem.violations, engine.FindViolations());
+  problem.join_indexes = engine.TakeIndexCache();
   problem.degrees = ComputeDegrees(problem.violations);
   {
     obs::Histogram* sizes = obs.metrics.GetHistogram("build.violation_set_size");

@@ -33,9 +33,14 @@ struct RepairProblem {
   ComponentIndex components;
   /// The columnar snapshot the violation scan ran against (invalid when the
   /// columnar path was disabled or externally supplied). The repairer's
-  /// verify phase Rebase()s it over the repaired clone instead of
-  /// re-snapshotting the untouched relations.
+  /// verify phase Patch()es it with the updated cells instead of
+  /// re-snapshotting the instance.
   ColumnSnapshot snapshot;
+  /// The violation scan's join indexes and planner statistics, built over
+  /// `db` and `snapshot`. The repairer's verify scan adopts them after
+  /// dropping those on updated attributes; a session's engine adopts them
+  /// whole.
+  ViolationEngine::IndexCache join_indexes;
 };
 
 struct BuildOptions {

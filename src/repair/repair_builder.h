@@ -41,6 +41,30 @@ Result<Database> ApplyCover(const Database& db, const RepairProblem& problem,
                             const SetCoverSolution& cover,
                             std::vector<AppliedUpdate>* applied = nullptr);
 
+/// The repair pipeline's verify phase: OK iff `repaired`, which is `db`
+/// with exactly `updates` applied, satisfies `ics`; Internal otherwise.
+/// `problem` must be BuildRepairProblem's output for `db` and `ics`.
+///
+/// Costs O(updates) plus the join work around the updated rows instead of
+/// a full rescan:
+///  1. Coverage check, O(sum of set sizes): every violation set of `db`
+///     must have an updated member. A cover guarantees it; a set without
+///     one fails here.
+///  2. Given (1), a violation set of `repaired` with no updated member
+///     would contain a violation set of `db`, hence an updated member, so
+///     every violation set of `repaired` touches an updated row.
+///     FindViolationsTouching over the updated rows enumerates exactly
+///     those. Its engine scans `problem->snapshot` patched with the updated
+///     cells (ColumnSnapshot::Patch) and adopts `problem->join_indexes`
+///     after dropping every index keyed on an updated attribute; both are
+///     consumed.
+/// ViolationEngine::Satisfies over `repaired` gives the same verdict.
+Status VerifyByDelta(const Database& repaired,
+                     const std::vector<BoundConstraint>& ics,
+                     const std::vector<AppliedUpdate>& updates,
+                     ViolationEngineOptions engine_options,
+                     RepairProblem* problem);
+
 }  // namespace dbrepair
 
 #endif  // DBREPAIR_REPAIR_REPAIR_BUILDER_H_

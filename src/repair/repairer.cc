@@ -59,7 +59,7 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
   build_options.num_threads = options.num_threads;
   build_options.use_columnar_scan = options.use_columnar_scan;
   DBREPAIR_ASSIGN_OR_RETURN(
-      const RepairProblem problem,
+      RepairProblem problem,
       BuildRepairProblem(db, ics, distance, build_options, pool.get()));
   const double build_seconds = build_span.Finish();
 
@@ -97,32 +97,9 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
     ViolationEngineOptions verify_options = build_options.engine;
     verify_options.num_threads = options.num_threads;
     verify_options.pool = pool.get();
-    // Re-snapshot only the relations the repair touched; clean relations
-    // keep sharing the build snapshot's column vectors.
-    ColumnSnapshot verify_snapshot;
-    if (options.use_columnar_scan && problem.snapshot.valid()) {
-      std::vector<uint32_t> dirty;
-      for (const AppliedUpdate& update : updates) {
-        if (std::find(dirty.begin(), dirty.end(), update.tuple.relation) ==
-            dirty.end()) {
-          dirty.push_back(update.tuple.relation);
-        }
-      }
-      verify_snapshot = problem.snapshot.Rebase(repaired, dirty);
-      verify_options.columnar = &verify_snapshot;
-      obs.metrics.GetCounter("scan.columnar.resnapshots")->Add(1);
-      obs.metrics.GetCounter("scan.columnar.resnapshot_relations")
-          ->Add(dirty.size());
-    }
-    DBREPAIR_ASSIGN_OR_RETURN(
-        const bool consistent,
-        ViolationEngine::Satisfies(repaired, ics, verify_options));
+    DBREPAIR_RETURN_IF_ERROR(
+        VerifyByDelta(repaired, ics, updates, verify_options, &problem));
     verify_seconds = verify_span.Finish();
-    if (!consistent) {
-      return Status::Internal(
-          "produced instance still violates the constraints; the IC set is "
-          "not local");
-    }
   }
 
   obs::Span distance_span(&obs.tracer, "distance");
@@ -133,12 +110,17 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
   RepairOutcome outcome{std::move(repaired), RepairStats{}, std::move(updates)};
   outcome.stats.distance = delta;
   outcome.stats.num_violations = problem.violations.size();
+  // One pass over the sets, counting by ic_index (the engine stamps each
+  // set with its constraint's).
+  uint32_t ic_bound = 0;
+  for (const BoundConstraint& ic : ics) {
+    ic_bound = std::max(ic_bound, ic.ic_index + 1);
+  }
+  std::vector<size_t> per_ic(ic_bound, 0);
+  for (const ViolationSet& v : problem.violations) ++per_ic[v.ic_index];
   outcome.stats.violations_per_constraint.reserve(ics.size());
   for (const BoundConstraint& ic : ics) {
-    size_t count = 0;
-    for (const ViolationSet& v : problem.violations) {
-      if (v.ic_index == ic.ic_index) ++count;
-    }
+    const size_t count = per_ic[ic.ic_index];
     outcome.stats.violations_per_constraint.emplace_back(ic.name, count);
     obs.metrics.GetCounter("violations.constraint." + ic.name)->Add(count);
   }

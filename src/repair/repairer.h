@@ -19,8 +19,12 @@ namespace dbrepair {
 struct RepairOptions {
   SolverKind solver = SolverKind::kModifiedGreedy;
   DistanceKind distance = DistanceKind::kL1;
-  /// Re-run the violation engine on the produced repair and fail if any
-  /// violation remains (should never trigger for local ICs).
+  /// Check the produced repair against the constraints and fail with
+  /// Internal if any violation remains (should never trigger for local
+  /// ICs). The check scans only the violation sets that touch an updated
+  /// tuple, after checking that every violation set of the input has an
+  /// updated member; together these are equivalent to a full rescan (see
+  /// DESIGN.md, "Verify by delta").
   bool verify = true;
   /// Reject non-local IC sets up front. Disable only for experiments that
   /// deliberately feed non-local constraints.
@@ -30,8 +34,8 @@ struct RepairOptions {
   bool prune_cover = false;
   /// Run the violation scans (build and verify) against a columnar snapshot
   /// of the row store — typed column arrays and packed uint64 join keys —
-  /// instead of Tuple/Value objects. The verify phase re-snapshots only the
-  /// relations the repair actually touched. Escape hatch: disabling it (or
+  /// instead of Tuple/Value objects. The verify phase patches the build's
+  /// snapshot with the updated cells. Escape hatch: disabling it (or
   /// `--no-columnar` on the CLI) forces the row path everywhere; the repair
   /// is byte-identical either way.
   bool use_columnar_scan = true;

@@ -126,6 +126,7 @@ Status RepairSession::Init() {
   engine_options.columnar =
       options_.use_columnar_scan && snapshot_.valid() ? &snapshot_ : nullptr;
   engine_ = std::make_unique<ViolationEngine>(db_, bound_, engine_options);
+  engine_->AdoptIndexCache(std::move(problem.join_indexes));
 
   // Freeze the built instance once; every batch then appends its epoch
   // straight into the arenas the incremental solver reads.
@@ -145,7 +146,7 @@ Status RepairSession::Init() {
   for (uint32_t r = 0; r < updated_rows.size(); ++r) {
     if (!updated_rows[r].empty()) updated_relations.push_back(r);
   }
-  RefreshAfterUpdates(updated_relations);
+  RefreshAfterUpdates(open_updates_, updated_relations);
   const double open_apply_seconds = apply_span.Finish();
 
   if (options_.verify && !updated_relations.empty()) {
@@ -338,7 +339,7 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
   for (uint32_t r = 0; r < updated_rows.size(); ++r) {
     if (!updated_rows[r].empty()) updated_relations.push_back(r);
   }
-  RefreshAfterUpdates(updated_relations);
+  RefreshAfterUpdates(batch.updates, updated_relations);
   batch.apply_seconds = apply_span.Finish();
 
   // ---- 6. Incremental verify over this batch's dirty rows. ----
@@ -660,14 +661,19 @@ Status RepairSession::ApplyChosen(
 }
 
 void RepairSession::RefreshAfterUpdates(
+    const std::vector<AppliedUpdate>& updates,
     const std::vector<uint32_t>& updated_relations) {
   if (updated_relations.empty()) return;
   if (snapshot_.valid()) {
-    snapshot_ = snapshot_.Rebase(db_, updated_relations);
+    std::vector<std::pair<TupleRef, uint32_t>> cells;
+    cells.reserve(updates.size());
+    for (const AppliedUpdate& update : updates) {
+      cells.emplace_back(update.tuple, update.attribute);
+    }
+    snapshot_ = snapshot_.Patch(db_, cells);
     obs::ObsContext& obs = obs::CurrentObs();
-    obs.metrics.GetCounter("scan.columnar.resnapshots")->Add(1);
-    obs.metrics.GetCounter("scan.columnar.resnapshot_relations")
-        ->Add(updated_relations.size());
+    obs.metrics.GetCounter("scan.columnar.patches")->Add(1);
+    obs.metrics.GetCounter("scan.columnar.patched_cells")->Add(cells.size());
   }
   engine_->InvalidateRelations(updated_relations);
 }

@@ -257,9 +257,10 @@ class RepairSession {
                      std::vector<std::vector<uint32_t>>* updated_rows,
                      std::vector<AppliedUpdate>* applied);
 
-  // Rebases the columnar snapshot over the updated relations and drops the
-  // engine's cached indexes for them. No-op when columnar is off.
-  void RefreshAfterUpdates(const std::vector<uint32_t>& updated_relations);
+  // Patches the updated cells into the columnar snapshot (when columnar is
+  // on) and drops the engine's cached indexes for the updated relations.
+  void RefreshAfterUpdates(const std::vector<AppliedUpdate>& updates,
+                           const std::vector<uint32_t>& updated_relations);
 
   const RepairOptions options_;
   const DistanceFunction distance_;

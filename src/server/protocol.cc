@@ -211,7 +211,10 @@ std::string FormatOk(std::string_view detail) {
 }
 
 std::string FormatData(std::string_view payload) {
-  std::string reply = "DATA " + std::to_string(payload.size()) + "\n";
+  const std::string header = "DATA " + std::to_string(payload.size()) + "\n";
+  std::string reply;
+  reply.reserve(header.size() + payload.size() + 1);
+  reply += header;
   reply += payload;
   reply += '\n';
   return reply;

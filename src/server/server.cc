@@ -370,7 +370,7 @@ std::string RepairServer::ExecuteSnapshot(const Command& command) {
       !written.ok()) {
     return FormatError(written);
   }
-  return FormatData(out.str());
+  return FormatData(std::move(out).str());
 }
 
 std::string RepairServer::ExecuteMeasure(const Command& command) {

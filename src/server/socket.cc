@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -164,11 +165,23 @@ Status LineReader::ReadLine(size_t max_bytes, std::string* line) {
 }
 
 Status LineReader::ReadExact(size_t n, std::string* out) {
-  while (buffer_.size() - pos_ < n) {
-    if (!Fill()) return Status::IoError("connection closed mid-payload");
+  // Take what is already buffered, then receive the rest straight into
+  // `out`: a large payload is held once, not in buffer_ and again in `out`.
+  const size_t buffered = std::min(n, buffer_.size() - pos_);
+  out->append(buffer_, pos_, buffered);
+  pos_ += buffered;
+  size_t filled = out->size();
+  out->resize(filled + (n - buffered));
+  while (filled < out->size()) {
+    const ssize_t got =
+        ::recv(socket_->fd(), out->data() + filled, out->size() - filled, 0);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) {
+      out->resize(filled);
+      return Status::IoError("connection closed mid-payload");
+    }
+    filled += static_cast<size_t>(got);
   }
-  out->append(buffer_, pos_, n);
-  pos_ += n;
   return Status::OK();
 }
 

@@ -1,5 +1,6 @@
 #include "storage/column_view.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -80,6 +81,13 @@ inline void FillCell(const Value& v, uint32_t row,
   }
 }
 
+// Writable access to a column a snapshot under construction owns alone
+// (created by MakeShell or copied by Patch with make_shared, so the const
+// cast is well-defined).
+ColumnData* MutableColumn(RelationColumns* rel, size_t c) {
+  return const_cast<ColumnData*>(rel->columns[c].get());
+}
+
 // Fills `col` (already typed) from one relation's rows. The interner must
 // already contain every string of the column (Find only), so concurrent
 // fills of different columns never mutate shared state.
@@ -99,11 +107,15 @@ void FillRelationRowMajor(const Table& table, const StringInterner& interner,
                           RelationColumns* rel) {
   const size_t n = table.size();
   const size_t arity = rel->columns.size();
-  for (ColumnData& col : rel->columns) SizeColumn(n, &col);
+  std::vector<ColumnData*> cols(arity);
+  for (size_t c = 0; c < arity; ++c) {
+    cols[c] = MutableColumn(rel, c);
+    SizeColumn(n, cols[c]);
+  }
   for (uint32_t row = 0; row < n; ++row) {
     const Tuple& tuple = table.row(row);
     for (size_t c = 0; c < arity; ++c) {
-      FillCell(tuple.value(c), row, interner, &rel->columns[c]);
+      FillCell(tuple.value(c), row, interner, cols[c]);
     }
   }
 }
@@ -127,7 +139,9 @@ std::shared_ptr<RelationColumns> MakeShell(const Table& table) {
   const RelationSchema& schema = table.schema();
   rel->columns.resize(schema.arity());
   for (size_t c = 0; c < schema.arity(); ++c) {
-    rel->columns[c].type = schema.attribute(c).type;
+    auto col = std::make_shared<ColumnData>();
+    col->type = schema.attribute(c).type;
+    rel->columns[c] = std::move(col);
   }
   return rel;
 }
@@ -139,7 +153,7 @@ std::shared_ptr<const RelationColumns> BuildRelation(
     FillRelationRowMajor(table, interner, rel.get());
   } else {
     ParallelFor(pool, rel->columns.size(), [&](size_t c) {
-      FillColumn(table, c, interner, &rel->columns[c]);
+      FillColumn(table, c, interner, MutableColumn(rel.get(), c));
     });
   }
   return rel;
@@ -175,7 +189,7 @@ ColumnSnapshot ColumnSnapshot::Build(const Database& db, ThreadPool* pool) {
     ParallelFor(pool, work.size(), [&](size_t i) {
       const obs::ScopedWorkEvent column_event("snapshot.column");
       const auto [r, c] = work[i];
-      FillColumn(db.table(r), c, interner, &shells[r]->columns[c]);
+      FillColumn(db.table(r), c, interner, MutableColumn(shells[r].get(), c));
     });
   }
   snapshot.relations_.assign(shells.begin(), shells.end());
@@ -196,6 +210,52 @@ ColumnSnapshot ColumnSnapshot::Rebase(
     InternRelationStrings(new_db.table(r), snapshot.interner_.get());
     snapshot.relations_[r] =
         BuildRelation(new_db.table(r), *snapshot.interner_, nullptr);
+  }
+  return snapshot;
+}
+
+ColumnSnapshot ColumnSnapshot::Patch(
+    const Database& new_db,
+    const std::vector<std::pair<TupleRef, uint32_t>>& cells) const {
+  bool fresh = valid() && new_db.relation_count() == relations_.size();
+  for (uint32_t r = 0; fresh && r < relations_.size(); ++r) {
+    fresh = relations_[r]->row_count == new_db.table(r).size() &&
+            relations_[r]->columns.size() == new_db.table(r).schema().arity();
+  }
+  if (!fresh) {
+    std::vector<uint32_t> dirty;
+    for (const auto& [tuple, attribute] : cells) {
+      if (std::find(dirty.begin(), dirty.end(), tuple.relation) ==
+          dirty.end()) {
+        dirty.push_back(tuple.relation);
+      }
+    }
+    return Rebase(new_db, dirty);
+  }
+  ColumnSnapshot snapshot;
+  snapshot.interner_ = interner_;
+  snapshot.relations_ = relations_;
+  // Relations and columns this call copied; a cell of one already copied
+  // is written in place.
+  std::vector<std::shared_ptr<RelationColumns>> patched(relations_.size());
+  for (const auto& [tuple, attribute] : cells) {
+    std::shared_ptr<RelationColumns>& rel = patched[tuple.relation];
+    if (rel == nullptr) {
+      rel = std::make_shared<RelationColumns>(*relations_[tuple.relation]);
+      snapshot.relations_[tuple.relation] = rel;
+    }
+    std::shared_ptr<const ColumnData>& col = rel->columns[attribute];
+    if (col == relations_[tuple.relation]->columns[attribute]) {
+      col = std::make_shared<ColumnData>(*col);
+    }
+    const Value& v = new_db.tuple(tuple).value(attribute);
+    // Repairs only rewrite int attributes, but stay general: a new string
+    // is appended to the shared dictionary.
+    if (col->type == Type::kString && v.is_string()) {
+      snapshot.interner_->Intern(v.AsString());
+    }
+    FillCell(v, tuple.row, *snapshot.interner_,
+             MutableColumn(rel.get(), attribute));
   }
   return snapshot;
 }
@@ -230,20 +290,27 @@ void ColumnSnapshot::ExtendAppended(
         if (v.is_string()) interner_->Intern(v.AsString());
       }
     }
-    // Uniquely-owned columns are grown in place (the object was created
-    // mutable and only typed const by the shared_ptr, so the cast is
-    // well-defined); shared ones are copied once, then extended.
+    // Uniquely-owned relations and columns are grown in place (the objects
+    // were created mutable and only typed const by the shared_ptr, so the
+    // casts are well-defined); shared ones are copied once, then extended.
     std::shared_ptr<RelationColumns> rel;
     if (relations_[r].use_count() == 1) {
       rel = std::const_pointer_cast<RelationColumns>(relations_[r]);
     } else {
       rel = std::make_shared<RelationColumns>(*old_rel);
     }
-    for (ColumnData& col : rel->columns) SizeColumn(new_count, &col);
+    std::vector<ColumnData*> cols(rel->columns.size());
+    for (size_t c = 0; c < cols.size(); ++c) {
+      if (rel->columns[c].use_count() != 1) {
+        rel->columns[c] = std::make_shared<ColumnData>(*rel->columns[c]);
+      }
+      cols[c] = MutableColumn(rel.get(), c);
+      SizeColumn(new_count, cols[c]);
+    }
     for (uint32_t row = old_count; row < new_count; ++row) {
       const Tuple& tuple = table.row(row);
-      for (size_t c = 0; c < rel->columns.size(); ++c) {
-        FillCell(tuple.value(c), row, *interner_, &rel->columns[c]);
+      for (size_t c = 0; c < cols.size(); ++c) {
+        FillCell(tuple.value(c), row, *interner_, cols[c]);
       }
     }
     rel->row_count = new_count;

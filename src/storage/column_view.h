@@ -103,10 +103,13 @@ struct ColumnData {
   }
 };
 
-/// All columns of one relation.
+/// All columns of one relation. Each column is held by its own shared_ptr
+/// so a snapshot derived by Patch shares every column it did not rewrite.
 struct RelationColumns {
   size_t row_count = 0;
-  std::vector<ColumnData> columns;
+  std::vector<std::shared_ptr<const ColumnData>> columns;
+
+  const ColumnData& column(size_t c) const { return *columns[c]; }
 };
 
 /// A read-only columnar snapshot of a Database: per-relation typed column
@@ -133,6 +136,19 @@ class ColumnSnapshot {
   /// is shared and append-only, so codes in aliased columns stay valid.
   ColumnSnapshot Rebase(const Database& new_db,
                         const std::vector<uint32_t>& dirty_relations) const;
+
+  /// Snapshot of `new_db` where `new_db` differs from this snapshot's
+  /// source only in the listed cells, (row, attribute) pairs of the rows it
+  /// names. Shares every column no cell falls in; each column some cell
+  /// falls in is copied once and only its listed cells are re-encoded from
+  /// `new_db`. The copied column's has_nulls/lossy flags start from the old
+  /// column's and can only be raised, so they stay conservative (a flag
+  /// may stay set although the cell that raised it was overwritten). Falls
+  /// back to Rebase of the listed cells' relations when the row or
+  /// relation counts disagree.
+  ColumnSnapshot Patch(
+      const Database& new_db,
+      const std::vector<std::pair<TupleRef, uint32_t>>& cells) const;
 
   /// Incremental rebase for append-only growth: every relation listed in
   /// `appended_relations` must have only *gained* rows since this snapshot

@@ -50,11 +50,12 @@ class Database {
   /// Total number of tuples across all relations (the size n of D).
   size_t TotalTuples() const;
 
-  /// Deep copy sharing the schema. Used to materialise repairs without
-  /// touching the original instance. Copies each table's rows and flat
-  /// primary-key index verbatim (no row is re-validated or re-hashed), so
-  /// the cost is one copy of the data; secondary (ordered) indexes are not
-  /// carried over — recreate them on the clone if needed.
+  /// Copy sharing the schema. Used to materialise repairs without touching
+  /// the original instance. Each table's row chunks and primary-key slots
+  /// are shared copy-on-write (see Table), so the cost is O(chunks) and an
+  /// update to the copy later copies only the chunk it writes; secondary
+  /// (ordered) indexes are not carried over — recreate them on the clone if
+  /// needed.
   Database Clone() const;
 
  private:

@@ -70,7 +70,7 @@ TableStats ComputeColumnStats(const RelationColumns& rel) {
   const size_t stride = std::max<size_t>(1, n / kStatsSampleTarget);
 
   for (size_t c = 0; c < rel.columns.size(); ++c) {
-    const ColumnData& data = rel.columns[c];
+    const ColumnData& data = rel.column(c);
     ColumnStats& col = stats.columns[c];
     col.non_null = n;  // clean() columns hold no NULLs
 

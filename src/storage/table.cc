@@ -27,6 +27,15 @@ uint64_t MixKeyHash(uint64_t h) {
 constexpr uint64_t kKeyHashSeed = 0x51ed270b;
 constexpr uint64_t kKeyHashPrime = 1099511628211ULL;
 
+// The object `*shared` points to, writable, after giving `*shared` its own
+// copy when another owner still holds it. Every pointee was created
+// non-const (make_shared<T>), so casting the const away is well-defined.
+template <class T>
+T& Unshare(std::shared_ptr<const T>* shared) {
+  if (shared->use_count() != 1) *shared = std::make_shared<T>(**shared);
+  return const_cast<T&>(**shared);
+}
+
 }  // namespace
 
 uint64_t Table::KeyHash(const Tuple& tuple) const {
@@ -46,11 +55,12 @@ uint64_t Table::KeyHash(const std::vector<Value>& key) const {
 template <class SameKey>
 size_t Table::ProbeKey(uint64_t hash, SameKey same_key) const {
   const uint64_t tag = hash >> 32;
-  const size_t mask = key_slots_.size() - 1;
+  const std::vector<uint64_t>& slots = *key_slots_;
+  const size_t mask = slots.size() - 1;
   for (size_t i = hash >> (64 - key_bits_);; i = (i + 1) & mask) {
-    const uint64_t slot = key_slots_[i];
+    const uint64_t slot = slots[i];
     if (slot == 0) return i;
-    if ((slot >> 32) == tag && same_key(rows_[(slot & kRowMask) - 1])) {
+    if ((slot >> 32) == tag && same_key(row((slot & kRowMask) - 1))) {
       return i;
     }
   }
@@ -58,13 +68,13 @@ size_t Table::ProbeKey(uint64_t hash, SameKey same_key) const {
 
 void Table::GrowKeyIndex() {
   const uint32_t bits = key_bits_ == 0 ? kInitialKeyBits : key_bits_ + 1;
-  std::vector<uint64_t> slots(size_t{1} << bits, 0);
-  const size_t mask = slots.size() - 1;
-  for (const uint64_t slot : key_slots_) {
+  auto slots = std::make_shared<std::vector<uint64_t>>(size_t{1} << bits, 0);
+  const size_t mask = slots->size() - 1;
+  for (const uint64_t slot : *key_slots_) {
     if (slot == 0) continue;
     size_t i = (slot >> 32) >> (32 - bits);
-    while (slots[i] != 0) i = (i + 1) & mask;
-    slots[i] = slot;
+    while ((*slots)[i] != 0) i = (i + 1) & mask;
+    (*slots)[i] = slot;
   }
   key_slots_ = std::move(slots);
   key_bits_ = bits;
@@ -96,10 +106,10 @@ Result<size_t> Table::Insert(Tuple tuple) {
         std::to_string(tuple.arity()));
   }
   DBREPAIR_RETURN_IF_ERROR(CheckTypes(tuple));
-  if (rows_.size() >= kMaxRows) {
+  if (size_ >= kMaxRows) {
     return Status::OutOfRange("table '" + schema_->name() + "' is full");
   }
-  if ((rows_.size() + 1) * 2 > key_slots_.size()) GrowKeyIndex();
+  if ((size_ + 1) * 2 > key_slots_->size()) GrowKeyIndex();
   const uint64_t hash = KeyHash(tuple);
   const auto& kp = schema_->key_positions();
   const size_t slot = ProbeKey(hash, [&](const Tuple& other) {
@@ -108,29 +118,35 @@ Result<size_t> Table::Insert(Tuple tuple) {
     }
     return true;
   });
-  if (key_slots_[slot] != 0) {
+  if ((*key_slots_)[slot] != 0) {
     return Status::KeyViolation("duplicate primary key in '" +
                                 schema_->name() + "': " + tuple.ToString());
   }
-  const size_t row = rows_.size();
-  rows_.push_back(std::move(tuple));
-  key_slots_[slot] = ((hash >> 32) << 32) | (row + 1);
+  const size_t row = size_;
+  if ((row & (kChunkRows - 1)) == 0) {
+    auto chunk = std::make_shared<Chunk>();
+    chunk->reserve(kChunkRows);
+    chunks_.push_back(std::move(chunk));
+  }
+  Unshare(&chunks_.back()).push_back(std::move(tuple));
+  ++size_;
+  Unshare(&key_slots_)[slot] = ((hash >> 32) << 32) | (row + 1);
   for (auto& [attribute, index] : ordered_indexes_) {
-    index.Insert(rows_[row].value(attribute), static_cast<uint32_t>(row));
+    index.Insert(this->row(row).value(attribute), static_cast<uint32_t>(row));
   }
   return row;
 }
 
 Result<size_t> Table::LookupByKey(const std::vector<Value>& key) const {
   const auto& kp = schema_->key_positions();
-  if (!rows_.empty() && key.size() == kp.size()) {
+  if (size_ > 0 && key.size() == kp.size()) {
     const size_t i = ProbeKey(KeyHash(key), [&](const Tuple& row) {
       for (size_t k = 0; k < kp.size(); ++k) {
         if (row.value(kp[k]) != key[k]) return false;
       }
       return true;
     });
-    const uint64_t slot = key_slots_[i];
+    const uint64_t slot = (*key_slots_)[i];
     if (slot != 0) return static_cast<size_t>((slot & kRowMask) - 1);
   }
   return Status::NotFound("no tuple with the given key in '" +
@@ -138,7 +154,7 @@ Result<size_t> Table::LookupByKey(const std::vector<Value>& key) const {
 }
 
 Status Table::UpdateValue(size_t row, size_t attribute, Value v) {
-  if (row >= rows_.size()) {
+  if (row >= size_) {
     return Status::OutOfRange("row index out of range in '" +
                               schema_->name() + "'");
   }
@@ -152,7 +168,7 @@ Status Table::UpdateValue(size_t row, size_t attribute, Value v) {
         "cannot update key attribute '" + schema_->name() + "." +
         schema_->attribute(attribute).name + "'");
   }
-  rows_[row].set_value(attribute, std::move(v));
+  MutableRow(row).set_value(attribute, std::move(v));
   ordered_indexes_.erase(attribute);  // now stale; owner rebuilds if needed
   return Status::OK();
 }
@@ -163,9 +179,9 @@ Status Table::CreateOrderedIndex(size_t attribute) {
                               schema_->name() + "'");
   }
   std::vector<std::pair<Value, uint32_t>> entries;
-  entries.reserve(rows_.size());
-  for (uint32_t row = 0; row < rows_.size(); ++row) {
-    entries.emplace_back(rows_[row].value(attribute), row);
+  entries.reserve(size_);
+  for (uint32_t r = 0; r < size_; ++r) {
+    entries.emplace_back(row(r).value(attribute), r);
   }
   ordered_indexes_.insert_or_assign(attribute,
                                     BTreeIndex::BulkLoad(std::move(entries)));
@@ -177,12 +193,23 @@ const BTreeIndex* Table::FindOrderedIndex(size_t attribute) const {
   return it == ordered_indexes_.end() ? nullptr : &it->second;
 }
 
+Tuple& Table::MutableRow(size_t index) {
+  return Unshare(&chunks_[index >> kChunkShift])[index & (kChunkRows - 1)];
+}
+
 Table Table::Clone() const {
   Table copy(schema_);
-  copy.rows_ = rows_;
+  copy.chunks_ = chunks_;
+  copy.size_ = size_;
   copy.key_slots_ = key_slots_;
   copy.key_bits_ = key_bits_;
   return copy;
+}
+
+size_t Table::SharedChunks() const {
+  size_t shared = 0;
+  for (const auto& chunk : chunks_) shared += chunk.use_count() > 1 ? 1 : 0;
+  return shared;
 }
 
 }  // namespace dbrepair

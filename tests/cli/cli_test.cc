@@ -384,9 +384,12 @@ TEST_F(CliTest, SolverFlagFlipsCounterBlock) {
 
 TEST_F(CliTest, TraceOutWritesChromeTraceWithWorkerLanes) {
   // A workload big enough that every phase fans real shards out over the
-  // 4-thread pool: thousands of rows, ~half inconsistent.
+  // 4-thread pool and each worker takes a task even on a loaded host: the
+  // detect scan and fix generation must outlast a scheduler quantum, since
+  // the verify scan only visits the updated rows. ~Half the rows are
+  // inconsistent.
   std::string csv = "ID,EF,PRC,CF\n";
-  for (int i = 0; i < 6000; ++i) {
+  for (int i = 0; i < 24000; ++i) {
     csv += "P" + std::to_string(i) + "," + std::to_string(i % 2) + "," +
            std::to_string((i * 37) % 100) + "," + std::to_string(i % 2) +
            "\n";

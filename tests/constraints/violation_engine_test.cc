@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
 #include "constraints/parser.h"
 #include "gen/client_buy.h"
 #include "gen/paper_example.h"
@@ -50,6 +51,46 @@ TEST(ViolationEngineTest, DegreesOfInconsistency) {
   EXPECT_EQ(degrees.Degree(TupleRef{0, 2}), 0u);  // t3 consistent
   EXPECT_EQ(degrees.Degree(TupleRef{1, 0}), 1u);  // p1
   EXPECT_EQ(degrees.max_degree, 3u);
+}
+
+// ComputeDegrees counts per (relation, row); the reference sorts every
+// packed member and counts runs.
+TEST(ViolationEngineTest, DegreesMatchSortedMemberCounts) {
+  Rng rng(2024);
+  for (const uint32_t max_row : {50u, 5000u}) {
+    for (int round = 0; round < 20; ++round) {
+      std::vector<ViolationSet> sets(rng.Uniform(200));
+      for (ViolationSet& v : sets) {
+        v.ic_index = static_cast<uint32_t>(rng.Uniform(3));
+        const size_t width = 1 + rng.Uniform(4);
+        for (size_t i = 0; i < width; ++i) {
+          v.tuples.push_back(
+              TupleRef{static_cast<uint32_t>(rng.Uniform(3)),
+                       static_cast<uint32_t>(rng.Uniform(max_row))});
+        }
+        std::sort(v.tuples.begin(), v.tuples.end());
+        v.tuples.erase(std::unique(v.tuples.begin(), v.tuples.end()),
+                       v.tuples.end());
+      }
+      std::vector<uint64_t> members;
+      for (const ViolationSet& v : sets) {
+        for (const TupleRef& t : v.tuples) members.push_back(t.Packed());
+      }
+      std::sort(members.begin(), members.end());
+      std::vector<std::pair<uint64_t, uint32_t>> expected;
+      uint32_t expected_max = 0;
+      for (size_t i = 0; i < members.size();) {
+        size_t end = i;
+        while (end < members.size() && members[end] == members[i]) ++end;
+        expected.emplace_back(members[i], static_cast<uint32_t>(end - i));
+        expected_max = std::max(expected_max, expected.back().second);
+        i = end;
+      }
+      const DegreeInfo degrees = ComputeDegrees(sets);
+      ASSERT_EQ(degrees.per_tuple, expected) << max_row << " " << round;
+      ASSERT_EQ(degrees.max_degree, expected_max) << max_row << " " << round;
+    }
+  }
 }
 
 TEST(ViolationEngineTest, ConsistentDatabaseHasNoViolations) {

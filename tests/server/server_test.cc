@@ -145,6 +145,43 @@ TEST(ServerTest, ConcurrentTenantStreamsMatchLibraryReplayByteForByte) {
   (*server)->Stop();
 }
 
+// A SNAPSHOT far larger than one socket read: the client receives most of
+// the DATA payload straight into the reply body, and the bytes must still
+// equal a library session's snapshot of the same instance.
+TEST(ServerTest, LargeSnapshotReplyMatchesLibraryBytes) {
+  auto server = RepairServer::Start(TestOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = RepairClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Send("OPEN big GEN client-buy 4000 9").ok());
+  auto snap = client->Send("SNAPSHOT big");
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  ASSERT_EQ(snap->kind, Reply::Kind::kData);
+  // A PING right after checks the frame's end was consumed exactly.
+  auto pong = client->Send("PING");
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong->kind, Reply::Kind::kOk);
+  client->Quit();
+  (*server)->Stop();
+
+  ScenarioSpec spec;
+  spec.name = "client-buy";
+  spec.rows = 4000;
+  spec.seed = 9;
+  auto workload = GenerateScenario(spec);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  RepairRequest request;
+  request.database = &workload->db;
+  request.constraints = workload->ics;
+  request.options.num_threads = 1;
+  auto session = OpenSession(request);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::ostringstream out;
+  ASSERT_TRUE(WriteSnapshot((*session)->db(), out).ok());
+  EXPECT_GT(snap->body.size(), size_t{64} << 10);
+  EXPECT_EQ(snap->body, out.str());
+}
+
 TEST(ServerTest, StatsMidStreamIsValidJsonWithTenantLabel) {
   auto server = RepairServer::Start(TestOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();

@@ -49,12 +49,12 @@ TEST(ColumnViewTest, BuildTypesAndValues) {
   const RelationColumns& rel = snap.relation(0);
   ASSERT_EQ(rel.row_count, 2u);
   ASSERT_EQ(rel.columns.size(), 4u);
-  EXPECT_EQ(rel.columns[0].ints, (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(rel.column(0).ints, (std::vector<int64_t>{1, 2}));
   // An int Value in a kDouble column is stored as its exact double image.
-  EXPECT_EQ(rel.columns[2].doubles, (std::vector<double>{2.5, 3.0}));
-  EXPECT_TRUE(rel.columns[2].clean());
+  EXPECT_EQ(rel.column(2).doubles, (std::vector<double>{2.5, 3.0}));
+  EXPECT_TRUE(rel.column(2).clean());
   // Distinct strings get distinct non-null codes.
-  const ColumnData& s = rel.columns[1];
+  const ColumnData& s = rel.column(1);
   EXPECT_NE(s.codes[0], s.codes[1]);
   EXPECT_NE(s.codes[0], StringInterner::kNullCode);
 }
@@ -69,12 +69,12 @@ TEST(ColumnViewTest, InterningSharesCodesAcrossColumnsAndRelations) {
   const ColumnSnapshot snap = ColumnSnapshot::Build(db);
   // One dictionary per snapshot: equal strings share one code everywhere,
   // so cross-relation string joins compare codes directly.
-  EXPECT_EQ(snap.relation(0).columns[1].codes[0],
-            snap.relation(1).columns[1].codes[0]);
-  EXPECT_NE(snap.relation(1).columns[1].codes[0],
-            snap.relation(1).columns[1].codes[1]);
+  EXPECT_EQ(snap.relation(0).column(1).codes[0],
+            snap.relation(1).column(1).codes[0]);
+  EXPECT_NE(snap.relation(1).column(1).codes[0],
+            snap.relation(1).column(1).codes[1]);
   EXPECT_EQ(snap.interner().Find("shared"),
-            snap.relation(0).columns[1].codes[0]);
+            snap.relation(0).column(1).codes[0]);
   EXPECT_EQ(snap.interner().Find("absent"), StringInterner::kNullCode);
 }
 
@@ -90,12 +90,12 @@ TEST(ColumnViewTest, NullsAndLossyValuesMarkColumnsUnclean) {
                   .ok());
   const ColumnSnapshot snap = ColumnSnapshot::Build(db);
   const RelationColumns& rel = snap.relation(0);
-  EXPECT_TRUE(rel.columns[0].clean());
-  EXPECT_TRUE(rel.columns[1].has_nulls);
-  EXPECT_FALSE(rel.columns[1].clean());
-  EXPECT_TRUE(rel.columns[2].lossy);
-  EXPECT_FALSE(rel.columns[2].clean());
-  EXPECT_EQ(rel.columns[1].codes[0], StringInterner::kNullCode);
+  EXPECT_TRUE(rel.column(0).clean());
+  EXPECT_TRUE(rel.column(1).has_nulls);
+  EXPECT_FALSE(rel.column(1).clean());
+  EXPECT_TRUE(rel.column(2).lossy);
+  EXPECT_FALSE(rel.column(2).clean());
+  EXPECT_EQ(rel.column(1).codes[0], StringInterner::kNullCode);
 }
 
 TEST(ColumnViewTest, KeyCodeEqualityMatchesValueEquality) {
@@ -110,9 +110,9 @@ TEST(ColumnViewTest, KeyCodeEqualityMatchesValueEquality) {
   const RelationColumns& rel = snap.relation(0);
   // -0.0 is normalised at build time, so the code matches int 0's double
   // image — KeyCode equality tracks Value equality on clean columns.
-  EXPECT_EQ(rel.columns[2].KeyCode(0), rel.columns[2].KeyCode(1));
-  EXPECT_EQ(rel.columns[1].KeyCode(0), rel.columns[1].KeyCode(1));
-  EXPECT_NE(rel.columns[0].KeyCode(0), rel.columns[0].KeyCode(1));
+  EXPECT_EQ(rel.column(2).KeyCode(0), rel.column(2).KeyCode(1));
+  EXPECT_EQ(rel.column(1).KeyCode(0), rel.column(1).KeyCode(1));
+  EXPECT_NE(rel.column(0).KeyCode(0), rel.column(0).KeyCode(1));
 }
 
 TEST(ColumnViewTest, ParallelBuildMatchesSerial) {
@@ -131,11 +131,11 @@ TEST(ColumnViewTest, ParallelBuildMatchesSerial) {
     const RelationColumns& b = parallel.relation(r);
     ASSERT_EQ(a.row_count, b.row_count);
     for (size_t c = 0; c < a.columns.size(); ++c) {
-      EXPECT_EQ(a.columns[c].ints, b.columns[c].ints);
-      EXPECT_EQ(a.columns[c].doubles, b.columns[c].doubles);
+      EXPECT_EQ(a.column(c).ints, b.column(c).ints);
+      EXPECT_EQ(a.column(c).doubles, b.column(c).doubles);
       // The interning pass is serial in both builds, so even dictionary
       // codes are identical, not merely consistent.
-      EXPECT_EQ(a.columns[c].codes, b.columns[c].codes);
+      EXPECT_EQ(a.column(c).codes, b.column(c).codes);
     }
   }
 }
@@ -154,7 +154,7 @@ TEST(ColumnViewTest, RebaseRebuildsOnlyDirtyRelations) {
 
   // The dirty relation reflects the update; the clean relation's column
   // storage is shared with the base snapshot, not copied.
-  EXPECT_EQ(rebased.relation(0).columns[3].ints[0], 99);
+  EXPECT_EQ(rebased.relation(0).column(3).ints[0], 99);
   EXPECT_EQ(&rebased.relation(1), &base.relation(1));
   // New strings appearing in the dirty relation extend the shared
   // dictionary without disturbing existing codes.
@@ -162,9 +162,57 @@ TEST(ColumnViewTest, RebaseRebuildsOnlyDirtyRelations) {
                   .UpdateValue(0, 1, Value::String("fresh"))
                   .ok());
   const ColumnSnapshot again = rebased.Rebase(db, {0});
-  EXPECT_NE(again.relation(0).columns[1].codes[0],
+  EXPECT_NE(again.relation(0).column(1).codes[0],
             StringInterner::kNullCode);
   EXPECT_EQ(again.interner().Find("b"), base.interner().Find("b"));
+}
+
+TEST(ColumnViewTest, PatchCopiesOnlyUpdatedColumns) {
+  Database db(MakeSchema());
+  for (int64_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(db.Insert("T", {Value::Int(k), Value::String("a"),
+                                Value::Double(1.0), Value::Int(10 + k)})
+                    .ok());
+  }
+  ASSERT_TRUE(db.Insert("U", {Value::Int(1), Value::String("b")}).ok());
+  const ColumnSnapshot base = ColumnSnapshot::Build(db);
+
+  Database repaired = db.Clone();
+  ASSERT_TRUE(repaired.mutable_table(0).UpdateValue(1, 3, Value::Int(99)).ok());
+  ASSERT_TRUE(
+      repaired.mutable_table(0).UpdateValue(2, 1, Value::String("new")).ok());
+  const ColumnSnapshot patched =
+      base.Patch(repaired, {{TupleRef{0, 1}, 3}, {TupleRef{0, 2}, 1}});
+
+  // Same columns as a rebuild of the dirty relation over the shared
+  // dictionary; untouched columns and relations are shared, not copied.
+  const ColumnSnapshot rebased = base.Rebase(repaired, {0});
+  for (size_t c = 0; c < 4; ++c) {
+    const ColumnData& a = patched.relation(0).column(c);
+    const ColumnData& b = rebased.relation(0).column(c);
+    EXPECT_EQ(a.ints, b.ints) << c;
+    EXPECT_EQ(a.doubles, b.doubles) << c;
+    EXPECT_EQ(a.codes, b.codes) << c;
+    EXPECT_EQ(a.clean(), b.clean()) << c;
+  }
+  EXPECT_EQ(&patched.relation(0).column(0), &base.relation(0).column(0));
+  EXPECT_EQ(&patched.relation(0).column(2), &base.relation(0).column(2));
+  EXPECT_NE(&patched.relation(0).column(3), &base.relation(0).column(3));
+  EXPECT_EQ(&patched.relation(1), &base.relation(1));
+  EXPECT_EQ(base.relation(0).column(3).ints[1], 11);  // source untouched
+
+  // Flags are conservative: a NULL raises has_nulls, and overwriting the
+  // NULL later does not lower it.
+  ASSERT_TRUE(repaired.mutable_table(0).UpdateValue(0, 3, Value()).ok());
+  const ColumnSnapshot with_null =
+      patched.Patch(repaired, {{TupleRef{0, 0}, 3}});
+  EXPECT_TRUE(with_null.relation(0).column(3).has_nulls);
+  EXPECT_FALSE(patched.relation(0).column(3).has_nulls);
+  ASSERT_TRUE(repaired.mutable_table(0).UpdateValue(0, 3, Value::Int(5)).ok());
+  const ColumnSnapshot cleared =
+      with_null.Patch(repaired, {{TupleRef{0, 0}, 3}});
+  EXPECT_EQ(cleared.relation(0).column(3).ints[0], 5);
+  EXPECT_TRUE(cleared.relation(0).column(3).has_nulls);
 }
 
 TEST(ColumnViewTest, ColumnStatsMatchRowStatsOnExactFields) {

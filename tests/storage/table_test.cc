@@ -258,6 +258,54 @@ TEST_F(TableTest, CloneCopiesRowsAndKeyIndexOnly) {
   EXPECT_NE(table_.FindOrderedIndex(1), nullptr);
 }
 
+TEST_F(TableTest, CloneSharesChunksUntilWritten) {
+  const size_t n = 5 * Table::kChunkRows + 3;  // a partial last chunk
+  for (size_t k = 0; k < n; ++k) {
+    ASSERT_TRUE(table_
+                    .Insert(Tuple({Value::Int(static_cast<int64_t>(k)),
+                                   Value::Int(1), Value::Int(2)}))
+                    .ok());
+  }
+  const size_t chunks = (n + Table::kChunkRows - 1) / Table::kChunkRows;
+  EXPECT_EQ(table_.SharedChunks(), 0u);
+  Table copy = table_.Clone();
+  EXPECT_EQ(copy.SharedChunks(), chunks);
+
+  // Two updates in one chunk copy that chunk once; the source keeps its
+  // values and still shares every other chunk.
+  const size_t row = 2 * Table::kChunkRows + 1;
+  ASSERT_TRUE(copy.UpdateValue(row, 1, Value::Int(50)).ok());
+  ASSERT_TRUE(copy.UpdateValue(row + 1, 2, Value::Int(60)).ok());
+  EXPECT_EQ(copy.SharedChunks(), chunks - 1);
+  EXPECT_EQ(table_.SharedChunks(), chunks - 1);
+  EXPECT_EQ(copy.row(row).value(1), Value::Int(50));
+  EXPECT_EQ(copy.row(row + 1).value(2), Value::Int(60));
+  EXPECT_EQ(table_.row(row).value(1), Value::Int(1));
+  EXPECT_EQ(table_.row(row + 1).value(2), Value::Int(2));
+
+  // Appending to the copy fills its own copy of the shared last chunk.
+  ASSERT_TRUE(copy.Insert(Tuple({Value::Int(-1), Value::Int(0),
+                                 Value::Int(0)}))
+                  .ok());
+  EXPECT_EQ(copy.size(), n + 1);
+  EXPECT_EQ(table_.size(), n);
+  EXPECT_EQ(copy.SharedChunks(), chunks - 2);
+  EXPECT_FALSE(table_.LookupByKey({Value::Int(-1)}).ok());
+  EXPECT_EQ(copy.LookupByKey({Value::Int(-1)}).value(), n);
+
+  // Writing the source after the copy diverged leaves the copy alone.
+  ASSERT_TRUE(table_.UpdateValue(0, 1, Value::Int(7)).ok());
+  EXPECT_EQ(copy.row(0).value(1), Value::Int(1));
+
+  // Range-for visits every row in order, across chunk boundaries.
+  size_t visited = 0;
+  for (const Tuple& t : copy.rows()) {
+    EXPECT_TRUE(t == copy.row(visited));
+    ++visited;
+  }
+  EXPECT_EQ(visited, copy.size());
+}
+
 TEST(TupleTest, ToString) {
   const Tuple t({Value::Int(1), Value::String("x"), Value()});
   EXPECT_EQ(t.ToString(), "(1, 'x', NULL)");

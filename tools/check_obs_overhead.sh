@@ -1,29 +1,27 @@
 #!/usr/bin/env bash
-# Tracing-overhead guard: runs the 4-thread build pipeline benchmark with
-# per-thread event buffers enabled (DBREPAIR_TRACE_EVENTS=1) and disabled,
-# compares the median wall time of each configuration, and fails when
-# enabling tracing costs more than THRESHOLD_PCT percent. This enforces the
-# DESIGN.md contract that recording into the lock-free lanes is cheap
-# enough to leave on for any run that wants a trace. Wired into ctest under
-# the perf-smoke label (serial, so other tests don't pollute the medians).
+# Tracing-overhead guard: measures what enabling the per-thread event
+# buffers costs the 4-thread build pipeline and fails when it exceeds
+# THRESHOLD_PCT percent. This enforces the DESIGN.md contract that
+# recording into the lock-free lanes is cheap enough to leave on for any
+# run that wants a trace. Wired into ctest under the perf-smoke label
+# (serial, so other tests don't pollute the timings).
+#
+# The measurement is BM_TraceOverheadPairs (bench_figure3_runtime):
+# interleaved off/on pairs of the same build, back to back in one process,
+# added until the spread of the estimate is below 1%. The estimate is the
+# median of the per-pair relative differences; the spread is 1.57 * IQR /
+# sqrt(pairs), the half-width of the median's ~95% interval.
 #
 # Usage: tools/check_obs_overhead.sh [build-dir]   (default: build)
-# Env:   FILTER         benchmark regex   (^BM_BuildPipelineThreads/30000/4$)
-#        REPS           repetitions per configuration (5)
-#        MIN_TIME       --benchmark_min_time per repetition (0.1)
+# Env:   FILTER         benchmark regex   (^BM_TraceOverheadPairs/30000/4)
 #        THRESHOLD_PCT  maximum tolerated overhead in percent (3)
-#        FLOOR_MS       ignore deltas below this many ms — scheduler noise
-#                       on a fast benchmark is not tracing overhead (0.5)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 BENCH="$BUILD_DIR/bench/bench_figure3_runtime"
-FILTER="${FILTER:-^BM_BuildPipelineThreads/30000/4\$}"
-REPS="${REPS:-5}"
-MIN_TIME="${MIN_TIME:-0.1}"
+FILTER="${FILTER:-^BM_TraceOverheadPairs/30000/4}"
 THRESHOLD_PCT="${THRESHOLD_PCT:-3}"
-FLOOR_MS="${FLOOR_MS:-0.5}"
 
 if [[ ! -x "$BENCH" ]]; then
   echo "error: $BENCH not built" >&2
@@ -34,53 +32,35 @@ fi
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "$TMP_DIR"' EXIT
 
-run_bench() {  # $1 = DBREPAIR_TRACE_EVENTS value, $2 = output json
-  DBREPAIR_TRACE_EVENTS="$1" DBREPAIR_TRACE_OUT= DBREPAIR_OBS_OUT= \
-    "$BENCH" \
-    --benchmark_filter="$FILTER" \
-    --benchmark_repetitions="$REPS" \
-    --benchmark_min_time="$MIN_TIME" \
-    --benchmark_report_aggregates_only=true \
-    --benchmark_out="$2" --benchmark_out_format=json >/dev/null
-}
+echo "== check_obs_overhead: $FILTER (threshold ${THRESHOLD_PCT}%)"
+DBREPAIR_TRACE_EVENTS= DBREPAIR_TRACE_OUT= DBREPAIR_OBS_OUT= \
+  "$BENCH" \
+  --benchmark_filter="$FILTER" \
+  --benchmark_out="$TMP_DIR/pairs.json" --benchmark_out_format=json \
+  >/dev/null
 
-echo "== check_obs_overhead: $FILTER ($REPS reps, threshold ${THRESHOLD_PCT}%)"
-echo "-- tracing off"
-run_bench 0 "$TMP_DIR/off.json"
-echo "-- tracing on (DBREPAIR_TRACE_EVENTS=1)"
-run_bench 1 "$TMP_DIR/on.json"
-
-python3 - "$TMP_DIR/off.json" "$TMP_DIR/on.json" \
-          "$THRESHOLD_PCT" "$FLOOR_MS" <<'PY'
+python3 - "$TMP_DIR/pairs.json" "$THRESHOLD_PCT" <<'PY'
 import json
 import sys
 
-off_path, on_path, threshold_pct, floor_ms = sys.argv[1:5]
-threshold_pct = float(threshold_pct)
-floor_ms = float(floor_ms)
-
-def median_ms(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    for bench in data.get("benchmarks", []):
-        if bench.get("aggregate_name") != "median":
-            continue
-        value = float(bench["real_time"])
-        unit = bench.get("time_unit", "ns")
-        scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}[unit]
-        return value * scale
-    sys.exit(f"error: no median aggregate in {path}")
-
-off = median_ms(off_path)
-on = median_ms(on_path)
-delta = on - off
-pct = 100.0 * delta / off if off > 0 else 0.0
-print(f"   tracing off : {off:10.3f} ms (median)")
-print(f"   tracing on  : {on:10.3f} ms (median)")
-print(f"   overhead    : {delta:+10.3f} ms ({pct:+.2f}%)")
-if pct > threshold_pct and delta > floor_ms:
-    sys.exit(
-        f"FAIL: tracing overhead {pct:.2f}% exceeds {threshold_pct:.1f}% "
-        f"(delta {delta:.3f} ms > floor {floor_ms} ms)")
-print(f"OK: within {threshold_pct:.1f}% budget")
+path, threshold = sys.argv[1], float(sys.argv[2])
+with open(path) as fh:
+    data = json.load(fh)
+runs = [b for b in data.get("benchmarks", []) if "overhead_pct" in b]
+if not runs:
+    sys.exit(f"error: no BM_TraceOverheadPairs result in {path}")
+run = runs[0]
+overhead = float(run["overhead_pct"])
+spread = float(run["spread_pct"])
+pairs = int(run["pairs"])
+print(f"   pairs       : {pairs}")
+print(f"   overhead    : {overhead:+.2f}% (median of pair differences)")
+print(f"   spread      : ±{spread:.2f}% (1.57 * IQR / sqrt(pairs))")
+if spread >= 1.0:
+    print("   note: the spread stayed at or above 1%; the host is too noisy "
+          "for the targeted resolution")
+if overhead > threshold:
+    sys.exit(f"FAIL: tracing overhead {overhead:.2f}% exceeds "
+             f"{threshold:.1f}%")
+print(f"OK: within {threshold:.1f}% budget")
 PY
